@@ -432,43 +432,6 @@ BENCHMARK(BM_SuiteParallel)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// Lockstep-batched sweep vs the serial per-run path: eight fresh sweep
-// points (four benchmarks x two policies, one shared thermal model)
-// through run_points with the argument as batch width (0 disables
-// batching). A fresh runner per iteration keeps memoization from
-// short-circuiting repeats; the single-threaded pool isolates the
-// batching gain from pool parallelism. items/s is sweep points per
-// second.
-void BM_BatchedSweep(benchmark::State& state) {
-  const sim::SimConfig cfg = short_sim_config();
-  const auto width = static_cast<std::size_t>(state.range(0));
-  std::vector<sim::PointSpec> points;
-  for (const char* bench : {"gzip", "crafty", "vortex", "gcc"}) {
-    const workload::WorkloadProfile profile =
-        workload::spec2000_profile(bench);
-    points.push_back({profile, sim::PolicyKind::kHybrid, {}, cfg});
-    points.push_back({profile, sim::PolicyKind::kDvs, {}, cfg});
-  }
-  std::size_t groups = 0;
-  for (auto _ : state) {
-    util::ThreadPool pool(1);
-    sim::ExperimentRunner runner(cfg, &pool);
-    runner.set_batch_width(width);
-    benchmark::DoNotOptimize(runner.run_points(points));
-    groups = runner.last_batched_groups();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(points.size()));
-  state.counters["batched_groups"] = static_cast<double>(groups);
-}
-BENCHMARK(BM_BatchedSweep)
-    ->ArgName("batch")
-    ->Arg(0)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 }  // namespace
 
 BENCHMARK_MAIN();

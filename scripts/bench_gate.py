@@ -42,9 +42,6 @@ import sys
 THROUGHPUT_KEYS = [
     "solver_steps_per_second",
     "solver_fused_steps_per_second",
-    # Lockstep panel throughput (lane-steps/second through the width-4
-    # BatchedThermalState) — the batched twin of the fused solver number.
-    "batched_lane_steps_per_second",
     # Many-core die throughput (aggregate core-cycles/second through an
     # 8-tile MulticoreSystem on a 1-thread tile pool, with migration and
     # the budget arbiter active) — guards the tiled interval loop.
@@ -83,8 +80,6 @@ INFO_KEYS = [
     "fused_be",
     "bulk_idle_skip",
     "simd_backend",
-    "batched_sweep",
-    "batch_width",
 ]
 
 # The N-thread suite pass must actually go faster than the 1-thread
@@ -212,7 +207,6 @@ def self_test(throughput_floor):
     baseline = {
         "solver_steps_per_second": 900000.0,
         "solver_fused_steps_per_second": 1100000.0,
-        "batched_lane_steps_per_second": 4000000.0,
         "multicore_core_steps_per_second": 600000.0,
         "suite_instr_per_second": 900000.0,
         "solver_allocs_per_step": 0,
@@ -231,8 +225,6 @@ def self_test(throughput_floor):
         baseline["solver_steps_per_second"] * throughput_floor * 0.5)
     regressed["suite_instr_per_second"] = (
         baseline["suite_instr_per_second"] * throughput_floor * 0.5)
-    regressed["batched_lane_steps_per_second"] = (
-        baseline["batched_lane_steps_per_second"] * throughput_floor * 0.5)
     regressed["multicore_core_steps_per_second"] = (
         baseline["multicore_core_steps_per_second"] * throughput_floor * 0.5)
     regressed["system_allocs_per_run"] = 3
@@ -241,7 +233,6 @@ def self_test(throughput_floor):
     failures = compare(baseline, regressed, throughput_floor)
     expected = {
         "solver_steps_per_second",
-        "batched_lane_steps_per_second",
         "multicore_core_steps_per_second",
         "suite_instr_per_second",
         "system_allocs_per_run",

@@ -1,12 +1,11 @@
 #!/usr/bin/env sh
 # Run the concurrency-sensitive test labels (faults + perf + recovery)
 # under the sanitizers. ASan+UBSan catches lifetime/UB bugs in the
-# engine's caches and the SIMD/batched kernels (simd_test under the
-# perf label covers the packed loads and the lockstep barrier);
-# TSan catches data races in the thread pool, RunCache, LuCache, the
-# BatchCoordinator rendezvous, and the persistent store's
-# recovery/eviction paths (the chaos test in recovery_test corrupts
-# and re-opens the store under load).
+# engine's caches and the SIMD kernels (simd_test under the perf label
+# covers the packed loads); TSan catches data races in the thread pool,
+# RunCache, LuCache, and the persistent store's recovery/eviction paths
+# (the chaos test in recovery_test corrupts and re-opens the store
+# under load).
 #
 # Usage: scripts/sanitize.sh [ADDRESS|THREAD|all]
 #

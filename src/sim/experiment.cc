@@ -2,13 +2,9 @@
 
 #include <cstdlib>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "floorplan/ev7.h"
 #include "obs/obs.h"
-#include "sim/batch_sweep.h"
-#include "sim/model_cache.h"
 #include "sim/multicore.h"
 #include "util/hash.h"
 #include "util/stats.h"
@@ -440,29 +436,18 @@ std::vector<double> SuiteResult::slowdowns() const {
   return out;
 }
 
-namespace {
-
-std::size_t default_batch_width() {
-  const char* v = std::getenv("HYDRA_BATCH");
-  if (v == nullptr || *v == '\0') return 4;
-  return static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-}
-
-}  // namespace
-
 ExperimentRunner::ExperimentRunner(SimConfig base_cfg, util::ThreadPool* pool)
     : base_cfg_(std::move(base_cfg)),
-      pool_(pool != nullptr ? pool : &util::ThreadPool::global()),
-      batch_width_(default_batch_width()) {}
+      pool_(pool != nullptr ? pool : &util::ThreadPool::global()) {}
 
 RunCache::Future ExperimentRunner::submit_baseline(
     const workload::WorkloadProfile& profile, const SimConfig& cfg) {
-  const SimConfig bcfg = baseline_config(cfg);
+  SimConfig bcfg = baseline_config(cfg);
   const std::uint64_t key =
       run_point_key(profile, PolicyKind::kNone, PolicyParams{}, bcfg);
   return cache_.submit(
       key, *pool_,
-      [profile, bcfg](const util::CancelToken& token) {
+      [profile, bcfg = std::move(bcfg)](const util::CancelToken& token) {
         // Per-job profiling span on this worker's wall-clock lane, so the
         // trace shows pool occupancy per thread.
         const obs::ScopedSpan span(obs::tracer(), "engine", "run",
@@ -526,113 +511,13 @@ std::vector<ExperimentResult> ExperimentRunner::run_points(
   // completion order is irrelevant because each future is joined by
   // index. Each System run is internally deterministic and the memoized
   // runs are keyed by content, so any pool width yields identical bits.
-  //
-  // Before submitting, plan the full submission list (dtm then baseline
-  // per point) so fresh points can be grouped into lockstep batches
-  // (sim/batch_sweep.h). Grouping changes neither keys, nor submission
-  // order, nor memoization stats — a batched key gets a compute that
-  // runs its BatchGroup lane instead of a solo System, and batched
-  // results are bit-identical to serial ones — so the planner is
-  // invisible to everything downstream.
-  struct Planned {
-    std::uint64_t key = 0;
-    BatchPointSpec spec{};
-  };
-  std::vector<Planned> subs;
-  subs.reserve(points.size() * 2);
-  for (const PointSpec& p : points) {
-    Planned dtm;
-    if (p.kind == PolicyKind::kNone && !p.params.guarded) {
-      // Mirror submit_run's routing: a plain no-DTM point IS the
-      // baseline and shares its key/config normalisation.
-      dtm.spec = BatchPointSpec{p.profile, PolicyKind::kNone, PolicyParams{},
-                                baseline_config(p.cfg)};
-    } else {
-      dtm.spec = BatchPointSpec{p.profile, p.kind, p.params, p.cfg};
-    }
-    dtm.key = run_point_key(dtm.spec.profile, dtm.spec.kind, dtm.spec.params,
-                            dtm.spec.cfg);
-    subs.push_back(dtm);
-    Planned base;
-    base.spec = BatchPointSpec{p.profile, PolicyKind::kNone, PolicyParams{},
-                               baseline_config(p.cfg)};
-    base.key = run_point_key(base.spec.profile, base.spec.kind,
-                             base.spec.params, base.spec.cfg);
-    subs.push_back(base);
-  }
-
-  // Group eligible fresh keys: not yet cached or in flight, not a
-  // duplicate within this call, fused scheme (the panel kernel IS the
-  // fused step — a backward-Euler run has no shared operator to batch),
-  // and no supervision (a deadline or retry budget needs the per-job
-  // cancel token, which a shared lockstep group cannot honour per
-  // lane). Lanes must share a thermal model, i.e. a model_key.
-  std::unordered_map<std::uint64_t,
-                     std::pair<std::shared_ptr<BatchGroup>, std::size_t>>
-      batch_of;
-  last_batched_groups_ = 0;
-  const bool supervised =
-      job_opts_.timeout.value() > 0.0 || job_opts_.max_attempts > 1;
-  if (batch_width_ > 1 && !supervised) {
-    std::unordered_map<std::uint64_t, std::vector<const Planned*>> open;
-    std::unordered_set<std::uint64_t> fresh;
-    const auto close_group = [&](std::vector<const Planned*>& members) {
-      std::vector<BatchPointSpec> lanes;
-      lanes.reserve(members.size());
-      for (const Planned* m : members) lanes.push_back(m->spec);
-      const auto group = std::make_shared<BatchGroup>(std::move(lanes));
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        batch_of.emplace(members[k]->key, std::make_pair(group, k));
-      }
-      ++last_batched_groups_;
-      members.clear();
-    };
-    for (const Planned& s : subs) {
-      if (!s.spec.cfg.fused_thermal) continue;
-      // Many-core points run through MulticoreSystem, which drives the
-      // die solver itself; the lockstep batch lanes are single-core.
-      if (s.spec.cfg.multicore.cores > 1) continue;
-      if (!fresh.insert(s.key).second) continue;
-      if (cache_.contains(s.key)) continue;
-      std::vector<const Planned*>& bucket = open[model_key(s.spec.cfg)];
-      bucket.push_back(&s);
-      if (bucket.size() == batch_width_) close_group(bucket);
-    }
-    // A leftover single lane gains nothing from the panel path; it
-    // takes the normal solo route.
-    for (auto& [mk, bucket] : open) {
-      if (bucket.size() >= 2) close_group(bucket);
-    }
-  }
-
   std::vector<RunCache::Future> dtm_futures;
   std::vector<RunCache::Future> base_futures;
   dtm_futures.reserve(points.size());
   base_futures.reserve(points.size());
-  const auto submit_planned = [&](const Planned& s) -> RunCache::Future {
-    const auto it = batch_of.find(s.key);
-    if (it != batch_of.end()) {
-      const std::shared_ptr<BatchGroup> group = it->second.first;
-      const std::size_t lane = it->second.second;
-      // Sibling lanes share the group: whichever compute the pool runs
-      // first executes every lane; the rest join it and fetch their
-      // own result (duplicate submissions of the key are cache hits
-      // and never reach this compute).
-      return cache_.submit(
-          s.key, *pool_,
-          [group, lane](const util::CancelToken&) {
-            return group->result(lane);
-          },
-          job_opts_);
-    }
-    if (s.spec.kind == PolicyKind::kNone && !s.spec.params.guarded) {
-      return submit_baseline(s.spec.profile, s.spec.cfg);
-    }
-    return submit_run(s.spec.profile, s.spec.kind, s.spec.params, s.spec.cfg);
-  };
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    dtm_futures.push_back(submit_planned(subs[2 * i]));
-    base_futures.push_back(submit_planned(subs[2 * i + 1]));
+  for (const PointSpec& p : points) {
+    dtm_futures.push_back(submit_run(p.profile, p.kind, p.params, p.cfg));
+    base_futures.push_back(submit_baseline(p.profile, p.cfg));
   }
   std::vector<ExperimentResult> results(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {

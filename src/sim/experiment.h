@@ -120,7 +120,7 @@ struct SuiteResult {
   std::vector<double> slowdowns() const;
 };
 
-/// One sweep point for the batched entry points.
+/// One sweep point for run_points().
 struct PointSpec {
   workload::WorkloadProfile profile;
   PolicyKind kind = PolicyKind::kNone;
@@ -176,25 +176,16 @@ class ExperimentRunner {
                         const SimConfig& cfg);
   SuiteResult run_suite(PolicyKind kind, const PolicyParams& params = {});
 
-  /// Run many suites with all points in flight at once — the batched
-  /// entry point the sweep benches use.
+  /// Run many suites with all points in flight at once — the entry
+  /// point the sweep benches use.
   std::vector<SuiteResult> run_suites(const std::vector<SuiteSpec>& specs);
 
   /// Memoization counters (for tests/diagnostics).
   RunCache::Stats cache_stats() const { return cache_.stats(); }
 
-  /// Lockstep batch width for fresh sweep points: run_points groups up
-  /// to this many uncached, unsupervised, fused-scheme submissions that
-  /// share a thermal model into one BatchGroup (sim/batch_sweep.h) —
-  /// the per-run path stays the bit-identity reference twin. Default is
-  /// HYDRA_BATCH (4 when unset); <= 1 disables batching. Cache keys and
-  /// memoization stats are identical either way.
-  std::size_t batch_width() const { return batch_width_; }
-  void set_batch_width(std::size_t width) { batch_width_ = width; }
-
-  /// Batch groups formed by the most recent run_points call (for
-  /// tests/benches to confirm the batched path actually engaged).
-  std::size_t last_batched_groups() const { return last_batched_groups_; }
+  /// Always 0: run_points does not batch. benchmark/driver.cc still
+  /// reads it for its batch.* rows, and the two go together.
+  std::size_t last_batched_groups() const { return 0; }
 
   /// Supervision applied to every subsequently submitted run: per-job
   /// deadline (cooperative, polled by System::run) and transient-retry
@@ -226,8 +217,6 @@ class ExperimentRunner {
   util::ThreadPool* pool_;
   RunCache cache_;
   RunCache::JobOptions job_opts_{};
-  std::size_t batch_width_;
-  std::size_t last_batched_groups_ = 0;
 };
 
 }  // namespace hydra::sim

@@ -171,11 +171,4 @@ std::size_t RunCache::size() const {
   return runs_.size();
 }
 
-bool RunCache::contains(std::uint64_t key) const {
-  const util::LockGuard lock(mu_);
-  const auto it = runs_.find(key);
-  return it != runs_.end() &&
-         it->second.state->load(std::memory_order_acquire) != kFailed;
-}
-
 }  // namespace hydra::sim

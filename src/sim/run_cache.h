@@ -100,13 +100,6 @@ class RunCache {
   Stats stats() const;
   std::size_t size() const;
 
-  /// True when `key` would be served from the cache (done or in
-  /// flight — a Failed entry reads as absent, matching submit's miss
-  /// semantics). A pure probe: no stats are counted. The experiment
-  /// runner uses this to group only genuinely fresh points into
-  /// lockstep batches.
-  bool contains(std::uint64_t key) const;
-
  private:
   /// Lifecycle of a cached entry, advanced by the job itself. Shared
   /// with the job via shared_ptr so it outlives the cache if needed.

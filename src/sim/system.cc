@@ -222,11 +222,7 @@ void System::thermal_and_power_step(bool measure) {
                           solver_.temperatures(), watts_);
   const double dt = interval_wall_;
   model_.expand_power_into(watts_, expanded_);
-  if (step_delegate_ != nullptr) {
-    step_delegate_->step(solver_, expanded_, util::Seconds(dt));
-  } else {
-    solver_.step(expanded_, util::Seconds(dt));
-  }
+  solver_.step(expanded_, util::Seconds(dt));
 
   const thermal::Vector& temps = solver_.temperatures();
   const double max_true = max_block_temp(temps, floorplan::kNumBlocks);

@@ -116,20 +116,6 @@ struct StepTrace {
   double power_watts = 0.0;
 };
 
-/// Seam for the lockstep batched-sweep driver (sim/batch_sweep.h): when
-/// installed, System hands each thermal-interval solver step to the
-/// delegate instead of calling TransientSolver::step directly. The
-/// delegate must leave the solver holding the post-step temperatures;
-/// everything else about the interval (power computation before, event
-/// handling after) is unchanged, so a delegate that reproduces the
-/// solver's arithmetic bit for bit yields a bit-identical RunResult.
-class ThermalStepDelegate {
- public:
-  virtual ~ThermalStepDelegate() = default;
-  virtual void step(thermal::TransientSolver& solver,
-                    const thermal::Vector& power, util::Seconds dt) = 0;
-};
-
 class System {
  public:
   /// `policy` may be null (baseline: no DTM). The system owns the policy.
@@ -155,12 +141,6 @@ class System {
   /// measured run.
   void set_trace_callback(std::function<void(const StepTrace&)> cb) {
     trace_cb_ = std::move(cb);
-  }
-
-  /// Route thermal-interval solver steps through `delegate` (nullptr
-  /// restores the direct path). Not owned; must outlive run().
-  void set_thermal_step_delegate(ThermalStepDelegate* delegate) {
-    step_delegate_ = delegate;
   }
 
   const power::DvsLadder& ladder() const { return ladder_; }
@@ -258,7 +238,6 @@ class System {
   } acc_;
 
   std::function<void(const StepTrace&)> trace_cb_;
-  ThermalStepDelegate* step_delegate_ = nullptr;
   std::string benchmark_name_;
   /// Cooperative stop signal for the current run() (null when absent).
   const util::CancelToken* cancel_ = nullptr;

@@ -36,21 +36,6 @@ void matvec_scalar(const double* a, std::size_t rows, std::size_t cols,
   }
 }
 
-void panel_scalar(const PackedMatrix& m, const double* x, std::size_t width,
-                  double* out) {
-  const std::size_t cols = m.cols();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const double* row = m.row(r);
-    for (std::size_t k = 0; k < width; ++k) {
-      double s[kLaneWidth] = {0.0, 0.0, 0.0, 0.0};
-      for (std::size_t c = 0; c < cols; ++c) {
-        s[c & 3] = std::fma(row[c], x[c * width + k], s[c & 3]);
-      }
-      out[r * width + k] = (s[0] + s[2]) + (s[1] + s[3]);
-    }
-  }
-}
-
 double gather_dot_scalar(const double* vals, const std::int32_t* idx,
                          std::size_t nnz, const double* x) {
   double s[kLaneWidth] = {0.0, 0.0, 0.0, 0.0};
@@ -58,19 +43,6 @@ double gather_dot_scalar(const double* vals, const std::int32_t* idx,
     s[p & 3] = std::fma(vals[p], x[idx[p]], s[p & 3]);
   }
   return (s[0] + s[2]) + (s[1] + s[3]);
-}
-
-void panel_gather_dot_scalar(const double* vals, const std::int32_t* idx,
-                             std::size_t nnz, const double* x,
-                             std::size_t width, double* out) {
-  for (std::size_t k = 0; k < width; ++k) {
-    double s[kLaneWidth] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t p = 0; p < nnz; ++p) {
-      s[p & 3] = std::fma(
-          vals[p], x[static_cast<std::size_t>(idx[p]) * width + k], s[p & 3]);
-    }
-    out[k] = (s[0] + s[2]) + (s[1] + s[3]);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -102,37 +74,6 @@ __attribute__((target("avx2,fma"))) void matvec_avx2(const double* a,
   }
 }
 
-__attribute__((target("avx2,fma"))) void panel_avx2(const PackedMatrix& m,
-                                                    const double* x,
-                                                    std::size_t width,
-                                                    double* out) {
-  const std::size_t cols = m.cols();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const double* row = m.row(r);
-    for (std::size_t k = 0; k < width; k += 4) {
-      // One register per column class, each spanning four batch lanes:
-      // lane arithmetic is the serial dot product, four runs at a time.
-      __m256d s0 = _mm256_setzero_pd();
-      __m256d s1 = _mm256_setzero_pd();
-      __m256d s2 = _mm256_setzero_pd();
-      __m256d s3 = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < cols; ++c) {
-        const __m256d b = _mm256_set1_pd(row[c]);
-        const __m256d v = _mm256_loadu_pd(x + c * width + k);
-        switch (c & 3) {
-          case 0: s0 = _mm256_fmadd_pd(b, v, s0); break;
-          case 1: s1 = _mm256_fmadd_pd(b, v, s1); break;
-          case 2: s2 = _mm256_fmadd_pd(b, v, s2); break;
-          default: s3 = _mm256_fmadd_pd(b, v, s3); break;
-        }
-      }
-      const __m256d sum =
-          _mm256_add_pd(_mm256_add_pd(s0, s2), _mm256_add_pd(s1, s3));
-      _mm256_storeu_pd(out + r * width + k, sum);
-    }
-  }
-}
-
 __attribute__((target("avx2,fma"))) double gather_dot_avx2(
     const double* vals, const std::int32_t* idx, std::size_t nnz,
     const double* x) {
@@ -155,33 +96,6 @@ __attribute__((target("avx2,fma"))) double gather_dot_avx2(
   _mm256_storeu_pd(s, acc);
   for (; p < nnz; ++p) s[p & 3] = std::fma(vals[p], x[idx[p]], s[p & 3]);
   return (s[0] + s[2]) + (s[1] + s[3]);
-}
-
-__attribute__((target("avx2,fma"))) void panel_gather_dot_avx2(
-    const double* vals, const std::int32_t* idx, std::size_t nnz,
-    const double* x, std::size_t width, double* out) {
-  for (std::size_t k = 0; k < width; k += 4) {
-    // One register per term class, each spanning four batch lanes: lane
-    // arithmetic is the serial gather_dot, four lanes at a time.
-    __m256d s0 = _mm256_setzero_pd();
-    __m256d s1 = _mm256_setzero_pd();
-    __m256d s2 = _mm256_setzero_pd();
-    __m256d s3 = _mm256_setzero_pd();
-    for (std::size_t p = 0; p < nnz; ++p) {
-      const __m256d b = _mm256_set1_pd(vals[p]);
-      const __m256d v =
-          _mm256_loadu_pd(x + static_cast<std::size_t>(idx[p]) * width + k);
-      switch (p & 3) {
-        case 0: s0 = _mm256_fmadd_pd(b, v, s0); break;
-        case 1: s1 = _mm256_fmadd_pd(b, v, s1); break;
-        case 2: s2 = _mm256_fmadd_pd(b, v, s2); break;
-        default: s3 = _mm256_fmadd_pd(b, v, s3); break;
-      }
-    }
-    const __m256d sum =
-        _mm256_add_pd(_mm256_add_pd(s0, s2), _mm256_add_pd(s1, s3));
-    _mm256_storeu_pd(out + k, sum);
-  }
 }
 
 bool cpu_has_avx2_fma() {
@@ -218,57 +132,8 @@ void matvec_neon(const double* a, std::size_t rows, std::size_t cols,
   }
 }
 
-void panel_neon(const PackedMatrix& m, const double* x, std::size_t width,
-                double* out) {
-  const std::size_t cols = m.cols();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const double* row = m.row(r);
-    for (std::size_t k = 0; k < width; k += 2) {
-      float64x2_t s0 = vdupq_n_f64(0.0);
-      float64x2_t s1 = vdupq_n_f64(0.0);
-      float64x2_t s2 = vdupq_n_f64(0.0);
-      float64x2_t s3 = vdupq_n_f64(0.0);
-      for (std::size_t c = 0; c < cols; ++c) {
-        const float64x2_t v = vld1q_f64(x + c * width + k);
-        switch (c & 3) {
-          case 0: s0 = vfmaq_n_f64(s0, v, row[c]); break;
-          case 1: s1 = vfmaq_n_f64(s1, v, row[c]); break;
-          case 2: s2 = vfmaq_n_f64(s2, v, row[c]); break;
-          default: s3 = vfmaq_n_f64(s3, v, row[c]); break;
-        }
-      }
-      const float64x2_t sum =
-          vaddq_f64(vaddq_f64(s0, s2), vaddq_f64(s1, s3));
-      vst1q_f64(out + r * width + k, sum);
-    }
-  }
-}
-
 // AArch64 has no gather load, so the NEON gather_dot is the scalar
-// class walk (vfma via std::fma is one instruction there); the panel
-// variant still vectorises across batch lanes, which are contiguous.
-void panel_gather_dot_neon(const double* vals, const std::int32_t* idx,
-                           std::size_t nnz, const double* x,
-                           std::size_t width, double* out) {
-  for (std::size_t k = 0; k < width; k += 2) {
-    float64x2_t s0 = vdupq_n_f64(0.0);
-    float64x2_t s1 = vdupq_n_f64(0.0);
-    float64x2_t s2 = vdupq_n_f64(0.0);
-    float64x2_t s3 = vdupq_n_f64(0.0);
-    for (std::size_t p = 0; p < nnz; ++p) {
-      const float64x2_t v =
-          vld1q_f64(x + static_cast<std::size_t>(idx[p]) * width + k);
-      switch (p & 3) {
-        case 0: s0 = vfmaq_n_f64(s0, v, vals[p]); break;
-        case 1: s1 = vfmaq_n_f64(s1, v, vals[p]); break;
-        case 2: s2 = vfmaq_n_f64(s2, v, vals[p]); break;
-        default: s3 = vfmaq_n_f64(s3, v, vals[p]); break;
-      }
-    }
-    const float64x2_t sum = vaddq_f64(vaddq_f64(s0, s2), vaddq_f64(s1, s3));
-    vst1q_f64(out + k, sum);
-  }
-}
+// class walk (vfma via std::fma is one instruction there).
 
 #endif  // HYDRA_SIMD_NEON
 
@@ -381,25 +246,6 @@ void packed_matvec(const PackedMatrix& m, const double* x, double* y) {
   matvec(m.rows() > 0 ? m.row(0) : nullptr, m.rows(), m.stride(), x, y);
 }
 
-void panel_matvec(const PackedMatrix& m, const double* x, std::size_t width,
-                  double* out) {
-  switch (active_backend()) {
-#if defined(HYDRA_SIMD_X86)
-    case Backend::kAvx2:
-      panel_avx2(m, x, width, out);
-      return;
-#endif
-#if defined(HYDRA_SIMD_NEON)
-    case Backend::kNeon:
-      panel_neon(m, x, width, out);
-      return;
-#endif
-    default:
-      panel_scalar(m, x, width, out);
-      return;
-  }
-}
-
 double gather_dot(const double* vals, const std::int32_t* idx,
                   std::size_t nnz, const double* x) {
   switch (active_backend()) {
@@ -409,26 +255,6 @@ double gather_dot(const double* vals, const std::int32_t* idx,
 #endif
     default:
       return gather_dot_scalar(vals, idx, nnz, x);
-  }
-}
-
-void panel_gather_dot(const double* vals, const std::int32_t* idx,
-                      std::size_t nnz, const double* x, std::size_t width,
-                      double* out) {
-  switch (active_backend()) {
-#if defined(HYDRA_SIMD_X86)
-    case Backend::kAvx2:
-      panel_gather_dot_avx2(vals, idx, nnz, x, width, out);
-      return;
-#endif
-#if defined(HYDRA_SIMD_NEON)
-    case Backend::kNeon:
-      panel_gather_dot_neon(vals, idx, nnz, x, width, out);
-      return;
-#endif
-    default:
-      panel_gather_dot_scalar(vals, idx, nnz, x, width, out);
-      return;
   }
 }
 

@@ -1,12 +1,12 @@
 // Runtime-dispatched SIMD kernels for the thermal hot loop.
 //
-// Every dense kernel the per-step path runs — Matrix::multiply_into, the
-// fused backward-Euler step, and the batched K-run panel step — routes
-// through this shim. A backend is picked once at startup (AVX2+FMA on
-// x86-64 when the CPU has it, NEON on AArch64, portable scalar
-// otherwise) and can be overridden with HYDRA_SIMD=scalar|avx2|neon for
-// bit-identity testing; requesting an unavailable backend falls back to
-// scalar so a pinned CI leg never aborts.
+// Every kernel the per-step path runs — Matrix::multiply_into, the fused
+// backward-Euler step and the sparse substitutions — routes through this
+// shim. A backend is picked once at startup (AVX2+FMA on x86-64 when the
+// CPU has it, NEON on AArch64, portable scalar otherwise) and can be
+// overridden with HYDRA_SIMD=scalar|avx2|neon for bit-identity testing;
+// requesting an unavailable backend falls back to scalar so a pinned CI
+// leg never aborts.
 //
 // Bit-identity contract ("virtual four lanes"): every backend computes a
 // dot product as four column-class partial sums — class j accumulates
@@ -30,7 +30,7 @@ namespace hydra::thermal::simd {
 enum class Backend { kScalar, kAvx2, kNeon };
 
 /// Accumulator lane width of the virtual-lane contract (doubles per
-/// AVX2 register). Rows and panels are padded to multiples of this.
+/// AVX2 register). Packed rows are padded to multiples of this.
 inline constexpr std::size_t kLaneWidth = 4;
 
 /// `n` rounded up to a multiple of kLaneWidth.
@@ -87,16 +87,6 @@ void matvec(const double* a, std::size_t rows, std::size_t cols,
 /// m.stride() entries with the padded tail zeroed; `y` gets m.rows().
 void packed_matvec(const PackedMatrix& m, const double* x, double* y);
 
-/// Mat-panel product for the batched stepper: K independent right-hand
-/// sides in column-major lanes. x holds m.cols() rows of `width` lanes
-/// (x[c * width + k] is lane k's element c); out gets m.rows() rows laid
-/// out the same way. `width` must be a multiple of kLaneWidth. Lane k's
-/// arithmetic is exactly the virtual-lane dot product of matvec() on its
-/// own column — independent of width and of the other lanes — so a
-/// batched run is bit-identical to its serial twin.
-void panel_matvec(const PackedMatrix& m, const double* x, std::size_t width,
-                  double* out);
-
 /// Sparse gather dot product: sum_p vals[p] * x[idx[p]] under the same
 /// virtual-lane contract as matvec() — term p joins column class p % 4
 /// via a correctly rounded fma and the classes reduce as
@@ -105,15 +95,5 @@ void panel_matvec(const PackedMatrix& m, const double* x, std::size_t width,
 /// scalar and NEON twins walk the same class sequence with std::fma.
 double gather_dot(const double* vals, const std::int32_t* idx,
                   std::size_t nnz, const double* x);
-
-/// Panel twin of gather_dot for K lockstep lanes: lane k computes
-/// sum_p vals[p] * x[idx[p] * width + k] and writes it to out[k]. Lane
-/// arithmetic is exactly gather_dot()'s operation sequence on that
-/// lane's column, so a batched sparse solve is bit-identical to its
-/// serial twin. `width` must be a multiple of kLaneWidth (panels are
-/// padded to the SIMD stride).
-void panel_gather_dot(const double* vals, const std::int32_t* idx,
-                      std::size_t nnz, const double* x, std::size_t width,
-                      double* out);
 
 }  // namespace hydra::thermal::simd

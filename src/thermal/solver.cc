@@ -352,9 +352,8 @@ void TransientSolver::step_sparse_be(const Vector& power, double dt) {
   }
   // rhs = (C/dt) rise + P, then one LDL^T substitution — all scratch
   // preallocated, so the steady-state path allocates nothing. The
-  // explicit fma keeps the rhs arithmetic identical to the batched
-  // panel stepper's (bit-identity depends on it; the compiler may or
-  // may not contract a * b + c on its own).
+  // explicit fma pins the rhs arithmetic: the compiler may or may not
+  // contract a * b + c on its own, and results must not depend on it.
   const Vector& c_over_dt = last_sparse_->c_over_dt;
   for (std::size_t i = 0; i < n; ++i) {
     rhs_[i] = std::fma(c_over_dt[i], celsius_[i] - ambient_, power[i]);

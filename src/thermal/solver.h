@@ -63,9 +63,9 @@ struct FusedStepOperator {
   Matrix m;  ///< multiplies the current temperature rise
   Matrix n;  ///< multiplies the power vector
   /// Padded-row packed twins of m and n (built alongside them in
-  /// LuCache::fused): the per-step kernels and the batched panel
-  /// stepper run on these so the inner loops are tail-free stride-1
-  /// FMA. Values agree with m/n bit for bit; padding is exact zeros.
+  /// LuCache::fused): the per-step kernels run on these so the inner
+  /// loops are tail-free stride-1 FMA. Values agree with m/n bit for
+  /// bit; padding is exact zeros.
   simd::PackedMatrix pm;
   simd::PackedMatrix pn;
 };
@@ -89,15 +89,14 @@ struct SparseStepOperator {
 /// cached factorisations. The rounded dt is used for the integration
 /// itself, keeping matrix and right-hand side consistent (sub-percent
 /// step-length error, negligible against the ms-scale time constants).
-/// Shared by both backward-Euler paths — and by the batched sweep
-/// driver, which groups lockstep lanes by this exact value — so they
-/// all key the same cache entries and integrate identical step lengths.
+/// Shared by every backward-Euler path, so they all key the same cache
+/// entries and integrate identical step lengths.
 double round_step_dt(double dt);
 
-/// Guard bound shared by the fused-BE step and the batched stepper: a
-/// temperature rise beyond this is divergence, not physics (silicon
-/// melts three orders of magnitude earlier). Deliberately loose so the
-/// guard can never veto a legitimate transient.
+/// Guard bound shared by the fused-BE and sparse steps: a temperature
+/// rise beyond this is divergence, not physics (silicon melts three
+/// orders of magnitude earlier). Deliberately loose so the guard can
+/// never veto a legitimate transient.
 inline constexpr double kMaxPlausibleRise = 1.0e6;
 
 /// Thread-safe cache of the factorisations a thermal network needs:

@@ -15,7 +15,8 @@ namespace hydra::thermal {
 void CsrMatrix::multiply_into(const double* x, double* y) const {
   for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t p0 = row_ptr[r];
-    y[r] = simd::gather_dot(&values[p0], &col_idx[p0], row_ptr[r + 1] - p0, x);
+    y[r] = simd::gather_dot(values.data() + p0, col_idx.data() + p0,
+                            row_ptr[r + 1] - p0, x);
   }
 }
 
@@ -229,13 +230,13 @@ void SparseCholesky::solve_into(const double* b, double* x,
   }
   for (std::size_t r = 0; r < n; ++r) {
     const std::size_t p0 = lrow_ptr_[r];
-    work[r] -= simd::gather_dot(&lrow_val_[p0], &lrow_col_[p0],
+    work[r] -= simd::gather_dot(lrow_val_.data() + p0, lrow_col_.data() + p0,
                                 lrow_ptr_[r + 1] - p0, work);
   }
   for (std::size_t i = 0; i < n; ++i) work[i] /= d_[i];
   for (std::size_t r = n; r-- > 0;) {
     const std::size_t p0 = lcol_ptr_[r];
-    work[r] -= simd::gather_dot(&lcol_val_[p0], &lcol_row_[p0],
+    work[r] -= simd::gather_dot(lcol_val_.data() + p0, lcol_row_.data() + p0,
                                 lcol_ptr_[r + 1] - p0, work);
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -243,52 +244,7 @@ void SparseCholesky::solve_into(const double* b, double* x,
   }
 }
 
-void SparseCholesky::panel_solve_into(const double* b, std::size_t width,
-                                      double* x, double* work,
-                                      double* row_tmp) const {
-  const std::size_t n = n_;
-  // Per-lane arithmetic mirrors solve_into() op for op: permute,
-  // forward-substitute with a gather dot per row, scale by D, backward-
-  // substitute, unpermute — panel_gather_dot guarantees each lane runs
-  // the serial gather class walk.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* src = b + static_cast<std::size_t>(perm_[i]) * width;
-    double* dst = work + i * width;
-    for (std::size_t k = 0; k < width; ++k) dst[k] = src[k];
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t p0 = lrow_ptr_[r];
-    simd::panel_gather_dot(&lrow_val_[p0], &lrow_col_[p0],
-                           lrow_ptr_[r + 1] - p0, work, width, row_tmp);
-    double* wr = work + r * width;
-    for (std::size_t k = 0; k < width; ++k) wr[k] -= row_tmp[k];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    double* wi = work + i * width;
-    const double di = d_[i];
-    for (std::size_t k = 0; k < width; ++k) wi[k] /= di;
-  }
-  for (std::size_t r = n; r-- > 0;) {
-    const std::size_t p0 = lcol_ptr_[r];
-    simd::panel_gather_dot(&lcol_val_[p0], &lcol_row_[p0],
-                           lcol_ptr_[r + 1] - p0, work, width, row_tmp);
-    double* wr = work + r * width;
-    for (std::size_t k = 0; k < width; ++k) wr[k] -= row_tmp[k];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* src = work + i * width;
-    double* dst = x + static_cast<std::size_t>(perm_[i]) * width;
-    for (std::size_t k = 0; k < width; ++k) dst[k] = src[k];
-  }
-}
-
 namespace {
-
-/// Empirical dense/sparse crossover (see DESIGN.md section 17): at the
-/// single-core model size (28 nodes) the dense fused two-matvec step
-/// still wins; from the 4-core die (82 nodes) up the sparse
-/// substitution is ahead and the gap widens superlinearly.
-constexpr std::size_t kDefaultSparseCrossoverNodes = 64;
 
 SparseMode resolve_startup_mode() {
   const char* env = std::getenv("HYDRA_SPARSE");
@@ -301,23 +257,6 @@ SparseMode resolve_startup_mode() {
 
 std::atomic<SparseMode>& mode_slot() {
   static std::atomic<SparseMode> slot{resolve_startup_mode()};
-  return slot;
-}
-
-std::size_t resolve_startup_crossover() {
-  const char* env = std::getenv("HYDRA_SPARSE_CROSSOVER");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v > 0) {
-      return static_cast<std::size_t>(v);
-    }
-  }
-  return kDefaultSparseCrossoverNodes;
-}
-
-std::atomic<std::size_t>& crossover_slot() {
-  static std::atomic<std::size_t> slot{resolve_startup_crossover()};
   return slot;
 }
 
@@ -343,15 +282,6 @@ const char* sparse_mode_name(SparseMode m) {
   return "?";
 }
 
-std::size_t sparse_crossover_nodes() {
-  return crossover_slot().load(std::memory_order_relaxed);
-}
-
-void set_sparse_crossover_for_test(std::size_t nodes) {
-  crossover_slot().store(nodes == 0 ? resolve_startup_crossover() : nodes,
-                         std::memory_order_relaxed);
-}
-
 bool use_sparse_step(std::size_t nodes) {
   switch (sparse_mode()) {
     case SparseMode::kOff:
@@ -359,7 +289,7 @@ bool use_sparse_step(std::size_t nodes) {
     case SparseMode::kOn:
       return nodes > 0;
     case SparseMode::kAuto:
-      return nodes >= sparse_crossover_nodes();
+      return nodes >= kSparseCrossoverNodes;
   }
   return false;
 }

@@ -19,12 +19,11 @@
 // order, which the minimum-degree preorder keeps near O(n) for these
 // stencil-plus-star graphs.
 //
-// The triangular substitutions run on thermal::simd::gather_dot /
-// panel_gather_dot, so the sparse path inherits the virtual-lane
-// bit-identity contract: results are bit-identical across
-// scalar/AVX2/NEON backends and between serial and batched (panel)
-// solves. Solving is read-only and allocation-free (caller-provided
-// scratch), so one factorisation serves many threads concurrently.
+// The triangular substitutions run on thermal::simd::gather_dot, so the
+// sparse path inherits the virtual-lane bit-identity contract: results
+// are bit-identical across scalar/AVX2/NEON backends. Solving is
+// read-only and allocation-free (caller-provided scratch), so one
+// factorisation serves many threads concurrently.
 #pragma once
 
 #include <cstddef>
@@ -76,14 +75,6 @@ class SparseCholesky {
   /// bit-identical across backends.
   void solve_into(const double* b, double* x, double* work) const;
 
-  /// Panel solve for K lockstep lanes in column-major panels
-  /// (element c of lane k at [c * width + k], width a multiple of
-  /// simd::kLaneWidth). `work` is a size()*width panel, `row_tmp` holds
-  /// `width` doubles. Lane k's arithmetic is exactly solve_into()'s
-  /// operation sequence, so batched solves are bit-identical to serial.
-  void panel_solve_into(const double* b, std::size_t width, double* x,
-                        double* work, double* row_tmp) const;
-
  private:
   std::size_t n_ = 0;
   std::vector<std::int32_t> perm_;   ///< new index -> old index
@@ -113,18 +104,15 @@ const char* sparse_mode_name(SparseMode m);
 /// modes inside one process to compare the paths).
 void set_sparse_mode_for_test(SparseMode m);
 
-/// Node count at or above which `auto` picks the sparse path. The
-/// default is the empirical crossover from bench/micro_perf's
-/// BM_ThermalFusedStep vs BM_SparseStep (see DESIGN.md section 17);
-/// HYDRA_SPARSE_CROSSOVER overrides it.
-std::size_t sparse_crossover_nodes();
+/// Node count at or above which `auto` picks the sparse path: the
+/// empirical crossover from bench/micro_perf's BM_ThermalFusedStep vs
+/// BM_SparseStep (DESIGN.md section 17). The dense fused step still
+/// wins at the single-core model's 28 nodes; the sparse substitution is
+/// 1.4x faster at the 4-core die's 82 and the gap widens from there.
+inline constexpr std::size_t kSparseCrossoverNodes = 64;
 
-/// Test seam: override the crossover (restored by passing 0 = re-read
-/// the environment/default).
-void set_sparse_crossover_for_test(std::size_t nodes);
-
-/// The dispatch predicate the solver, batched stepper and multicore
-/// init all consult: should a `nodes`-node model step sparsely?
+/// The dispatch predicate the solver and multicore init consult: should
+/// a `nodes`-node model step sparsely?
 bool use_sparse_step(std::size_t nodes);
 
 }  // namespace hydra::thermal

@@ -1,5 +1,6 @@
 // Parallel experiment engine: determinism across pool widths, cache-key
-// separation, config-keyed baselines, and memoization accounting.
+// separation, config-keyed baselines, memoization accounting, and
+// supervision that leaves results untouched.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include "obs/obs.h"
 #include "sim/experiment.h"
 #include "sim/model_cache.h"
+#include "sim/persistent_cache.h"
 #include "util/thread_pool.h"
 
 namespace hydra::sim {
@@ -20,24 +22,6 @@ SimConfig short_config() {
   cfg.run_instructions = 60'000;
   cfg.warmup_instructions = 20'000;
   return cfg;
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.wall_seconds, b.wall_seconds);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.max_true_celsius, b.max_true_celsius);
-  EXPECT_EQ(a.violation_fraction, b.violation_fraction);
-  EXPECT_EQ(a.above_trigger_fraction, b.above_trigger_fraction);
-  EXPECT_EQ(a.dvs_transitions, b.dvs_transitions);
-  EXPECT_EQ(a.mean_gate_fraction, b.mean_gate_fraction);
-  EXPECT_EQ(a.dvs_low_fraction, b.dvs_low_fraction);
-  EXPECT_EQ(a.mean_power_watts, b.mean_power_watts);
-  EXPECT_EQ(a.hottest_block, b.hottest_block);
-  EXPECT_EQ(a.hottest_mean_celsius, b.hottest_mean_celsius);
 }
 
 // The engine's core guarantee: results are bit-identical at any pool
@@ -67,9 +51,10 @@ TEST(EngineDeterminism, SuiteIdenticalAcrossPoolWidths) {
     ASSERT_EQ(a[s].per_benchmark.size(), b[s].per_benchmark.size());
     for (std::size_t i = 0; i < a[s].per_benchmark.size(); ++i) {
       EXPECT_EQ(a[s].per_benchmark[i].slowdown, b[s].per_benchmark[i].slowdown);
-      expect_identical(a[s].per_benchmark[i].dtm, b[s].per_benchmark[i].dtm);
-      expect_identical(a[s].per_benchmark[i].baseline,
-                       b[s].per_benchmark[i].baseline);
+      EXPECT_EQ(serialize_run_result(a[s].per_benchmark[i].dtm),
+                serialize_run_result(b[s].per_benchmark[i].dtm));
+      EXPECT_EQ(serialize_run_result(a[s].per_benchmark[i].baseline),
+                serialize_run_result(b[s].per_benchmark[i].baseline));
     }
   }
 }
@@ -155,7 +140,8 @@ TEST(EngineMemoization, RepeatedPointsHitCache) {
   EXPECT_GE(after_second.hits, 2u);
 
   EXPECT_EQ(first.slowdown, second.slowdown);
-  expect_identical(first.dtm, second.dtm);
+  EXPECT_EQ(serialize_run_result(first.dtm),
+            serialize_run_result(second.dtm));
 
   // A different policy over the same profile reuses the baseline.
   runner.run(profile, PolicyKind::kFetchGating, {}, cfg);
@@ -218,8 +204,44 @@ TEST(EngineObservability, TracingDoesNotChangeResults) {
   ASSERT_EQ(plain.size(), traced.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i].slowdown, traced[i].slowdown);
-    expect_identical(plain[i].dtm, traced[i].dtm);
-    expect_identical(plain[i].baseline, traced[i].baseline);
+    EXPECT_EQ(serialize_run_result(plain[i].dtm),
+              serialize_run_result(traced[i].dtm));
+    EXPECT_EQ(serialize_run_result(plain[i].baseline),
+              serialize_run_result(traced[i].baseline));
+  }
+}
+
+// A per-job deadline is supervision, not an input: the same sweep under
+// a generous timeout must match an unsupervised runner byte for byte.
+// (The suite name dates from the lockstep batched sweep, which supervised
+// jobs bypassed; every run_points job now takes that serial path.)
+TEST(BatchedSweep, SupervisedRunsStaySerial) {
+  const SimConfig cfg = short_config();
+  std::vector<PointSpec> points;
+  for (const char* bench : {"gzip", "crafty"}) {
+    points.push_back(
+        {workload::spec2000_profile(bench), PolicyKind::kHybrid, {}, cfg});
+  }
+
+  util::ThreadPool pool(2);
+  ExperimentRunner plain_runner(cfg, &pool);
+  ExperimentRunner supervised_runner(cfg, &pool);
+  RunCache::JobOptions opts;
+  opts.timeout = util::Seconds(300.0);
+  supervised_runner.set_job_options(opts);
+
+  const std::vector<ExperimentResult> plain = plain_runner.run_points(points);
+  const std::vector<ExperimentResult> supervised =
+      supervised_runner.run_points(points);
+  EXPECT_EQ(supervised_runner.cache_stats().failures, 0u);
+
+  ASSERT_EQ(plain.size(), supervised.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(plain[i].slowdown, supervised[i].slowdown);
+    EXPECT_EQ(serialize_run_result(plain[i].dtm),
+              serialize_run_result(supervised[i].dtm));
+    EXPECT_EQ(serialize_run_result(plain[i].baseline),
+              serialize_run_result(supervised[i].baseline));
   }
 }
 

@@ -16,6 +16,7 @@
 #include "arch/core.h"
 #include "arch/core_config.h"
 #include "sim/experiment.h"
+#include "sim/persistent_cache.h"
 #include "sim/system.h"
 #include "util/rng.h"
 #include "workload/spec_profiles.h"
@@ -149,20 +150,7 @@ TEST(FastPath, BulkIdleSkipResultIdentical) {
   // nothing about the skipped spans.
   EXPECT_GT(ref.clock_gated_fraction, 0.0);
 
-  EXPECT_EQ(ref.instructions, fast.instructions);
-  EXPECT_EQ(ref.cycles, fast.cycles);
-  EXPECT_EQ(ref.wall_seconds, fast.wall_seconds);
-  EXPECT_EQ(ref.ipc, fast.ipc);
-  EXPECT_EQ(ref.max_true_celsius, fast.max_true_celsius);
-  EXPECT_EQ(ref.violation_fraction, fast.violation_fraction);
-  EXPECT_EQ(ref.above_trigger_fraction, fast.above_trigger_fraction);
-  EXPECT_EQ(ref.dvs_transitions, fast.dvs_transitions);
-  EXPECT_EQ(ref.mean_gate_fraction, fast.mean_gate_fraction);
-  EXPECT_EQ(ref.clock_gated_fraction, fast.clock_gated_fraction);
-  EXPECT_EQ(ref.mean_power_watts, fast.mean_power_watts);
-  EXPECT_EQ(ref.hottest_block, fast.hottest_block);
-  EXPECT_EQ(ref.hottest_mean_celsius, fast.hottest_mean_celsius);
-  EXPECT_EQ(ref.idle_skip_fraction, fast.idle_skip_fraction);
+  EXPECT_EQ(sim::serialize_run_result(ref), sim::serialize_run_result(fast));
 }
 
 // ------------------------------------------------------------ chunk_cycles

@@ -1,11 +1,10 @@
-// SIMD backend and batched-sweep bit-identity tests.
+// SIMD backend bit-identity tests.
 //
 // The contract under test (thermal/simd.h): every backend — scalar,
 // AVX2, NEON — performs the identical sequence of correctly rounded
 // fused multiply-adds per output element ("virtual four lanes"), so
-// kernels, full System runs, and lockstep-batched sweeps all produce
-// bit-identical results regardless of which backend executes them or
-// how runs are grouped into panels.
+// kernels and full System runs produce bit-identical results regardless
+// of which backend executes them.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,13 +13,9 @@
 #include <vector>
 
 #include "sim/experiment.h"
+#include "sim/persistent_cache.h"
 #include "sim/system.h"
-#include "thermal/batch.h"
-#include "thermal/rc_network.h"
 #include "thermal/simd.h"
-#include "thermal/solver.h"
-#include "util/thread_pool.h"
-#include "util/units.h"
 #include "workload/spec_profiles.h"
 
 namespace hydra {
@@ -138,117 +133,7 @@ TEST(SimdKernel, PackedMatvecMatchesUnpacked) {
   }
 }
 
-// Each panel lane must reproduce the serial matvec on its own column —
-// independent of the batch width and of what the other lanes hold.
-TEST(SimdKernel, PanelLanesMatchSerialMatvecBitwise) {
-  BackendGuard guard;
-  std::mt19937 rng(2026);
-  const std::size_t n = 11;
-  const std::vector<double> a = random_values(n * n, rng);
-  const simd::PackedMatrix m(n, n, a.data());
-
-  for (const std::size_t width : {4u, 8u}) {
-    std::vector<std::vector<double>> lanes;
-    for (std::size_t k = 0; k < width; ++k) {
-      lanes.push_back(random_values(n, rng));
-    }
-    std::vector<double> panel(m.stride() * width, 0.0);
-    for (std::size_t c = 0; c < n; ++c) {
-      for (std::size_t k = 0; k < width; ++k) {
-        panel[c * width + k] = lanes[k][c];
-      }
-    }
-    std::vector<double> out(m.stride() * width, 0.0);
-    for (const simd::Backend b :
-         {simd::Backend::kScalar, simd::active_backend()}) {
-      simd::set_backend_for_test(b);
-      simd::panel_matvec(m, panel.data(), width, out.data());
-      std::vector<double> y(n);
-      for (std::size_t k = 0; k < width; ++k) {
-        simd::matvec(a.data(), n, n, lanes[k].data(), y.data());
-        for (std::size_t r = 0; r < n; ++r) {
-          EXPECT_EQ(y[r], out[r * width + k])
-              << "width " << width << " lane " << k << " row " << r;
-        }
-      }
-    }
-  }
-}
-
-// ------------------------------------------------- batched state twin
-
-// BatchedThermalState::step vs two serial packed matvecs per lane: the
-// panel pass is the same arithmetic in panel form, so every lane's
-// updated rise must match bit for bit.
-TEST(BatchedState, StepMatchesSerialFusedKernels) {
-  using util::Celsius;
-  using util::JoulesPerKelvin;
-  using util::KelvinPerWatt;
-
-  thermal::RcNetwork net;
-  const std::size_t a = net.add_node("a", JoulesPerKelvin(0.8));
-  const std::size_t b = net.add_node("b", JoulesPerKelvin(1.1));
-  const std::size_t c = net.add_node("c", JoulesPerKelvin(0.5));
-  net.connect(a, b, KelvinPerWatt(2.0));
-  net.connect(b, c, KelvinPerWatt(1.5));
-  net.connect_to_ambient(a, KelvinPerWatt(4.0));
-  net.connect_to_ambient(c, KelvinPerWatt(3.0));
-
-  const thermal::LuCache lu(net);
-  const double dt = thermal::round_step_dt(1.234e-4);
-  const thermal::FusedStepOperator& op = lu.fused(dt);
-  const std::size_t n = net.size();
-
-  const std::size_t width = 4;
-  thermal::BatchedThermalState state(n, width);
-  EXPECT_EQ(state.nodes(), n);
-  EXPECT_EQ(state.width(), width);
-
-  std::mt19937 rng(9);
-  std::vector<std::vector<double>> rises, powers;
-  for (std::size_t k = 0; k < width; ++k) {
-    rises.push_back(random_values(n, rng));
-    powers.push_back(random_values(n, rng));
-    state.load_lane(k, rises.back().data(), powers.back().data());
-  }
-  state.step(op);
-
-  const std::size_t stride = op.pm.stride();
-  std::vector<double> rise_pad(stride, 0.0), pow_pad(stride, 0.0);
-  std::vector<double> ym(n), yn(n), got(n);
-  for (std::size_t k = 0; k < width; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      rise_pad[i] = rises[k][i];
-      pow_pad[i] = powers[k][i];
-    }
-    simd::packed_matvec(op.pm, rise_pad.data(), ym.data());
-    simd::packed_matvec(op.pn, pow_pad.data(), yn.data());
-    state.store_lane(k, got.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i], ym[i] + yn[i]) << "lane " << k << " node " << i;
-    }
-  }
-}
-
 // ------------------------------------------------------ full-run twins
-
-void expect_identical(const sim::RunResult& a, const sim::RunResult& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.wall_seconds, b.wall_seconds);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.max_true_celsius, b.max_true_celsius);
-  EXPECT_EQ(a.violation_fraction, b.violation_fraction);
-  EXPECT_EQ(a.above_trigger_fraction, b.above_trigger_fraction);
-  EXPECT_EQ(a.dvs_transitions, b.dvs_transitions);
-  EXPECT_EQ(a.mean_gate_fraction, b.mean_gate_fraction);
-  EXPECT_EQ(a.dvs_low_fraction, b.dvs_low_fraction);
-  EXPECT_EQ(a.mean_power_watts, b.mean_power_watts);
-  EXPECT_EQ(a.hottest_block, b.hottest_block);
-  EXPECT_EQ(a.hottest_mean_celsius, b.hottest_mean_celsius);
-}
 
 sim::SimConfig short_config() {
   sim::SimConfig cfg = sim::default_sim_config();
@@ -279,79 +164,7 @@ TEST(SimdTwin, FullRunBitIdenticalScalarVsVector) {
       profile, cfg, sim::make_policy(sim::PolicyKind::kHybrid, {}, cfg));
   const sim::RunResult vec = vector_sys.run();
 
-  expect_identical(scalar, vec);
-}
-
-// ---------------------------------------------------- batched sweeps
-
-// run_points with lockstep batching on vs off: identical RunResults,
-// identical memoization stats, and the batched runner must actually
-// have formed groups (otherwise this test proves nothing).
-TEST(BatchedSweep, RunPointsBitIdenticalToSerial) {
-  const sim::SimConfig cfg = short_config();
-  std::vector<sim::PointSpec> points;
-  for (const char* bench : {"gzip", "crafty", "vortex"}) {
-    const workload::WorkloadProfile profile =
-        workload::spec2000_profile(bench);
-    points.push_back({profile, sim::PolicyKind::kHybrid, {}, cfg});
-    points.push_back({profile, sim::PolicyKind::kDvs, {}, cfg});
-  }
-
-  util::ThreadPool pool(2);
-  sim::ExperimentRunner batched(cfg, &pool);
-  batched.set_batch_width(4);
-  sim::ExperimentRunner serial(cfg, &pool);
-  serial.set_batch_width(0);
-
-  const std::vector<sim::ExperimentResult> rb = batched.run_points(points);
-  const std::vector<sim::ExperimentResult> rs = serial.run_points(points);
-
-  EXPECT_GT(batched.last_batched_groups(), 0u)
-      << "batched runner never engaged the lockstep path";
-  EXPECT_EQ(serial.last_batched_groups(), 0u);
-
-  ASSERT_EQ(rb.size(), rs.size());
-  for (std::size_t i = 0; i < rb.size(); ++i) {
-    EXPECT_EQ(rb[i].slowdown, rs[i].slowdown) << "point " << i;
-    expect_identical(rb[i].dtm, rs[i].dtm);
-    expect_identical(rb[i].baseline, rs[i].baseline);
-  }
-
-  // Batching must not change the memoization shape: same submissions,
-  // same misses/hits/computes either way.
-  const sim::RunCache::Stats sb = batched.cache_stats();
-  const sim::RunCache::Stats ss = serial.cache_stats();
-  EXPECT_EQ(sb.misses, ss.misses);
-  EXPECT_EQ(sb.hits, ss.hits);
-  EXPECT_EQ(sb.computes, ss.computes);
-  EXPECT_EQ(sb.failures, 0u);
-}
-
-// Supervised jobs (deadline or retry budget) never batch: a lockstep
-// lane cannot honour a per-job cancel token without stalling siblings.
-TEST(BatchedSweep, SupervisedRunsStaySerial) {
-  const sim::SimConfig cfg = short_config();
-  util::ThreadPool pool(2);
-  sim::ExperimentRunner runner(cfg, &pool);
-  runner.set_batch_width(4);
-  sim::RunCache::JobOptions opts;
-  opts.timeout = util::Seconds(300.0);
-  runner.set_job_options(opts);
-
-  std::vector<sim::PointSpec> points;
-  for (const char* bench : {"gzip", "crafty"}) {
-    points.push_back({workload::spec2000_profile(bench),
-                      sim::PolicyKind::kHybrid,
-                      {},
-                      cfg});
-  }
-  const std::vector<sim::ExperimentResult> results =
-      runner.run_points(points);
-  EXPECT_EQ(runner.last_batched_groups(), 0u);
-  ASSERT_EQ(results.size(), points.size());
-  for (const sim::ExperimentResult& r : results) {
-    EXPECT_GT(r.dtm.instructions, 0u);
-  }
+  EXPECT_EQ(sim::serialize_run_result(scalar), sim::serialize_run_result(vec));
 }
 
 }  // namespace

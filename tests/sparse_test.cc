@@ -2,8 +2,7 @@
 // match the dense conductance matrix entry for entry; the sparse LDL^T
 // must agree with the dense LU to solver round-off; full fused-BE runs
 // with the sparse path on must track the dense runs to <= 1e-9 degC
-// over randomized floorplans and the rounded-dt set; batched (panel)
-// sparse solves must be bit-identical to serial ones; the divergence
+// over randomized floorplans and the rounded-dt set; the divergence
 // guard must fall back to the LU reference path; and a many-core run
 // with the sparse path pinned on must stay bit-identical across worker
 // widths.
@@ -19,10 +18,8 @@
 #include "sim/multicore.h"
 #include "sim/persistent_cache.h"
 #include "sim/system.h"
-#include "thermal/batch.h"
 #include "thermal/model_builder.h"
 #include "thermal/rc_network.h"
-#include "thermal/simd.h"
 #include "thermal/solver.h"
 #include "thermal/sparse.h"
 #include "util/rng.h"
@@ -193,6 +190,9 @@ TEST(SparseCholesky, RejectsInvalidMatrices) {
 
 // ------------------------------------------------------------ dispatch
 
+// Under auto the crossover is the DESIGN.md section 17 measurement:
+// the single-core model (28 nodes) steps dense, the 4-core die (82
+// nodes) sparse, and the switch sits at 64 nodes.
 TEST(SparseDispatch, ModeAndCrossoverControlThepredicate) {
   {
     SparseModeGuard on(thermal::SparseMode::kOn);
@@ -204,10 +204,17 @@ TEST(SparseDispatch, ModeAndCrossoverControlThepredicate) {
   }
   {
     SparseModeGuard autod(thermal::SparseMode::kAuto);
-    thermal::set_sparse_crossover_for_test(100);
-    EXPECT_FALSE(thermal::use_sparse_step(99));
-    EXPECT_TRUE(thermal::use_sparse_step(100));
-    thermal::set_sparse_crossover_for_test(0);  // restore env/default
+    EXPECT_EQ(thermal::kSparseCrossoverNodes, 64u);
+    EXPECT_FALSE(thermal::use_sparse_step(63));
+    EXPECT_TRUE(thermal::use_sparse_step(64));
+    const thermal::ThermalModel one_core = thermal::build_thermal_model(
+        floorplan::multicore_floorplan(1), thermal::Package{});
+    EXPECT_EQ(one_core.network.size(), 28u);
+    EXPECT_FALSE(thermal::use_sparse_step(one_core.network.size()));
+    const thermal::ThermalModel four_core = thermal::build_thermal_model(
+        floorplan::multicore_floorplan(4), thermal::Package{});
+    EXPECT_EQ(four_core.network.size(), 82u);
+    EXPECT_TRUE(thermal::use_sparse_step(four_core.network.size()));
   }
   EXPECT_STREQ(thermal::sparse_mode_name(thermal::SparseMode::kAuto), "auto");
   EXPECT_STREQ(thermal::sparse_mode_name(thermal::SparseMode::kOn), "on");
@@ -281,47 +288,6 @@ TEST(SparseVsDense, SixteenCoreDieFullRunWithin1e9) {
       model.network, power, dt, 2000, thermal::SparseMode::kOn, nullptr);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(sparse[i], dense[i], 1e-9) << "node " << i;
-  }
-}
-
-// ----------------------------------------- batched-panel bit identity
-
-// BatchedThermalState::step(SparseStepOperator) must produce, for every
-// lane, exactly the serial sequence: rhs = fma(C/dt, rise, P), then one
-// solve_into. Bit identity (EXPECT_EQ on doubles), not tolerance.
-TEST(SparseBatch, PanelStepBitIdenticalToSerialSolve) {
-  const auto fp = floorplan::multicore_floorplan(4);
-  const auto model = thermal::build_thermal_model(fp, thermal::Package{});
-  const std::size_t n = model.network.size();
-  const thermal::LuCache cache(model.network);
-  const thermal::SparseStepOperator& op =
-      cache.sparse(thermal::round_step_dt(1e-4));
-
-  const std::size_t width = thermal::simd::kLaneWidth;
-  thermal::BatchedThermalState state(n, width);
-  util::Rng rng(0xba7cULL);
-  std::vector<thermal::Vector> rises(width);
-  std::vector<thermal::Vector> powers(width);
-  for (std::size_t k = 0; k < width; ++k) {
-    rises[k] = random_power(rng, n);
-    powers[k] = random_power(rng, n);
-    state.load_lane(k, rises[k].data(), powers[k].data());
-  }
-  state.step(op);
-
-  thermal::Vector rhs(n, 0.0);
-  thermal::Vector want(n, 0.0);
-  thermal::Vector work(n, 0.0);
-  thermal::Vector got(n, 0.0);
-  for (std::size_t k = 0; k < width; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      rhs[i] = std::fma(op.c_over_dt[i], rises[k][i], powers[k][i]);
-    }
-    op.chol.solve_into(rhs.data(), want.data(), work.data());
-    state.store_lane(k, got.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i], want[i]) << "lane " << k << ", node " << i;
-    }
   }
 }
 

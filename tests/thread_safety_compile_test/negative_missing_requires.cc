@@ -1,7 +1,7 @@
 // MUST NOT COMPILE under -Werror=thread-safety-analysis: calling a
 // HYDRA_REQUIRES(mu) function without holding mu breaks the `_locked`
-// helper contract (PersistentRunCache, BatchCoordinator) that this PR
-// turned from a naming convention into a compiler-checked one.
+// helper contract (PersistentRunCache) that the annotations turn from a
+// naming convention into a compiler-checked one.
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 

@@ -40,7 +40,6 @@
 #include "sim/model_cache.h"
 #include "sim/multicore.h"
 #include "sim/system.h"
-#include "thermal/batch.h"
 #include "thermal/simd.h"
 #include "thermal/solver.h"
 #include "thermal/sparse.h"
@@ -121,31 +120,6 @@ std::uint64_t system_allocs_per_run(sim::SimConfig cfg) {
   return g_heap_allocs.load(std::memory_order_relaxed) - before;
 }
 
-/// Lockstep panel throughput: a width-4 BatchedThermalState stepped
-/// through the shared fused operator, reported as lane-steps/second
-/// (panel steps x width) — the batched twin of the fused-BE number.
-double batched_lane_throughput(const sim::SimConfig& cfg, long long steps) {
-  const auto shared = sim::ModelCache::global().get(cfg);
-  const std::size_t n = shared->model.network.size();
-  const double dt = thermal::round_step_dt(1e-4);
-  const thermal::FusedStepOperator& op = shared->lu_cache->fused(dt);
-  const std::size_t width = thermal::simd::kLaneWidth;
-  thermal::BatchedThermalState state(n, width);
-  const std::vector<double> rise(n, 1.0);
-  const std::vector<double> power(n, 2.0);
-  for (std::size_t k = 0; k < width; ++k) {
-    state.load_lane(k, rise.data(), power.data());
-  }
-  state.step(op);  // warm
-  const auto start = std::chrono::steady_clock::now();
-  for (long long i = 0; i < steps; ++i) state.step(op);
-  const double elapsed = seconds_since(start);
-  return elapsed > 0.0
-             ? static_cast<double>(steps) * static_cast<double>(width) /
-                   elapsed
-             : 0.0;
-}
-
 struct MulticoreBench {
   double core_steps_per_second = 0.0;
   std::size_t nodes = 0;     ///< die RC node count (drives sparse dispatch)
@@ -189,8 +163,6 @@ struct SuiteBench {
   double wall_seconds = 0.0;
   sim::RunCache::Stats cache;
   sim::SuiteResult results;
-  std::size_t batched_groups = 0;  ///< lockstep groups the sweep formed
-  std::size_t batch_width = 0;
 };
 
 /// Wall time of a hybrid-DTM suite on a pool of the given width. A fresh
@@ -204,8 +176,7 @@ SuiteBench suite_wall_seconds(const sim::SimConfig& cfg, std::size_t width) {
   if (suite.per_benchmark.empty()) {
     throw std::runtime_error("suite produced no results");
   }
-  return {elapsed, runner.cache_stats(), std::move(suite),
-          runner.last_batched_groups(), runner.batch_width()};
+  return {elapsed, runner.cache_stats(), std::move(suite)};
 }
 
 }  // namespace
@@ -244,13 +215,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(solver.allocs));
     const SolverBench fused = solver_throughput(
         cfg, solver_steps, thermal::Scheme::kFusedBE);
-    std::printf("  %.0f fused-BE steps/sec, %llu allocs\n",
+    std::printf("  %.0f fused-BE steps/sec, %llu allocs (%s backend)\n",
                 fused.steps_per_second,
-                static_cast<unsigned long long>(fused.allocs));
-    const double batched_lane_steps =
-        batched_lane_throughput(cfg, solver_steps);
-    std::printf("  %.0f batched lane-steps/sec (%s backend)\n",
-                batched_lane_steps,
+                static_cast<unsigned long long>(fused.allocs),
                 thermal::simd::backend_name(
                     thermal::simd::active_backend()));
 
@@ -309,7 +276,6 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.key("solver_steps_per_second").value(solver.steps_per_second);
     w.key("solver_fused_steps_per_second").value(fused.steps_per_second);
-    w.key("batched_lane_steps_per_second").value(batched_lane_steps);
     w.key("multicore_core_steps_per_second")
         .value(multicore.core_steps_per_second);
     w.key("multicore_nodes")
@@ -317,7 +283,7 @@ int main(int argc, char** argv) {
     w.key("sparse_path").value(multicore.sparse_path);
     w.key("sparse_crossover_nodes")
         .value(static_cast<unsigned long long>(
-            thermal::sparse_crossover_nodes()));
+            thermal::kSparseCrossoverNodes));
     w.key("solver_steps_measured").value(solver_steps);
     w.key("solver_allocs_per_step")
         .value(static_cast<double>(solver.allocs) /
@@ -339,9 +305,6 @@ int main(int argc, char** argv) {
     w.key("bulk_idle_skip").value(cfg.bulk_idle_skip);
     w.key("simd_backend")
         .value(thermal::simd::backend_name(thermal::simd::active_backend()));
-    w.key("batched_sweep").value(suite_1.batched_groups > 0);
-    w.key("batch_width")
-        .value(static_cast<unsigned long long>(suite_1.batch_width));
     w.key("threads").value(threads);
     w.key("hardware_concurrency")
         .value(static_cast<unsigned long long>(
