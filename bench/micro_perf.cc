@@ -2,14 +2,13 @@
 // building blocks — core cycles/s, thermal solver steps, steady-state
 // solves, power evaluation, trace generation, sensor sampling — plus
 // end-to-end System throughput and suite-level thread scaling. These
-// bound how long the figure-reproduction sweeps take.
+// bound how long the figure-reproduction sweeps take. A diagnostic with
+// no thresholds: alloc_test holds the allocation contracts and
+// benchmark/run.py the end-to-end timings.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "arch/core.h"
@@ -25,37 +24,6 @@
 #include "thermal/solver.h"
 #include "util/thread_pool.h"
 #include "workload/spec_profiles.h"
-
-// Global allocation counter so the hot-path benchmarks can assert they
-// are allocation-free (see BM_ThermalBackwardEulerStep's allocs_per_step
-// counter — the engine's contract is that it stays at zero).
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-// noinline: when GCC inlines these replacement operators it sees the
-// underlying malloc/free pair through new/delete expressions and emits
-// spurious -Wmismatched-new-delete at every call site.
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p,
-                                               std::size_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p,
-                                                 std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -134,24 +102,15 @@ void BM_ThermalBackwardEulerStep(benchmark::State& state) {
   thermal::Vector power(model.network.size(), 0.0);
   for (std::size_t i = 0; i < model.num_blocks; ++i) power[i] = 1.5;
   solver.step(power, util::Seconds(3.3e-6));  // warm: factorise the LU for this dt
-  const std::uint64_t allocs_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     solver.step(power, util::Seconds(3.3e-6));
   }
-  const std::uint64_t allocs =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
   state.SetItemsProcessed(state.iterations());
-  // Contract: the warmed per-step path is allocation-free (must be 0).
-  state.counters["allocs_per_step"] =
-      static_cast<double>(allocs) /
-      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
 }
 BENCHMARK(BM_ThermalBackwardEulerStep);
 
 // Same step as above through the fused operator: per step two contiguous
-// matvecs instead of an LU solve. Shares the backward-Euler contract that
-// the warmed path never allocates.
+// matvecs instead of an LU solve.
 void BM_ThermalFusedStep(benchmark::State& state) {
   const auto fp = floorplan::ev7_floorplan();
   const auto model = thermal::build_thermal_model(fp, thermal::Package{});
@@ -160,17 +119,10 @@ void BM_ThermalFusedStep(benchmark::State& state) {
   thermal::Vector power(model.network.size(), 0.0);
   for (std::size_t i = 0; i < model.num_blocks; ++i) power[i] = 1.5;
   solver.step(power, util::Seconds(3.3e-6));  // warm: build the operator
-  const std::uint64_t allocs_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     solver.step(power, util::Seconds(3.3e-6));
   }
-  const std::uint64_t allocs =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
   state.SetItemsProcessed(state.iterations());
-  state.counters["allocs_per_step"] =
-      static_cast<double>(allocs) /
-      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
 }
 BENCHMARK(BM_ThermalFusedStep);
 
@@ -192,17 +144,10 @@ void BM_ThermalFusedStepSimd(benchmark::State& state) {
   thermal::Vector power(model.network.size(), 0.0);
   for (std::size_t i = 0; i < model.num_blocks; ++i) power[i] = 1.5;
   solver.step(power, util::Seconds(3.3e-6));  // warm: build the operator
-  const std::uint64_t allocs_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     solver.step(power, util::Seconds(3.3e-6));
   }
-  const std::uint64_t allocs =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
   state.SetItemsProcessed(state.iterations());
-  state.counters["allocs_per_step"] =
-      static_cast<double>(allocs) /
-      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
   state.SetLabel(simd::backend_name(backend));
   simd::set_backend_for_test(prev);
 }
@@ -230,9 +175,8 @@ void BM_SparseCholeskyFactor(benchmark::State& state) {
 BENCHMARK(BM_SparseCholeskyFactor)->Unit(benchmark::kMillisecond);
 
 // One sparse backward-Euler step on the 16-core die (rhs build + LDL^T
-// substitution through the gather-dot kernels). Shares the fused-path
-// contract that the warmed per-step path never allocates. Compare
-// against BM_DieStep/cores:16's dense leg for the crossover evidence.
+// substitution through the gather-dot kernels). Compare against
+// BM_DieStep/cores:16's dense leg for the crossover evidence.
 void BM_SparseStep(benchmark::State& state) {
   const thermal::SparseMode prev = thermal::sparse_mode();
   thermal::set_sparse_mode_for_test(thermal::SparseMode::kOn);
@@ -243,17 +187,10 @@ void BM_SparseStep(benchmark::State& state) {
   thermal::Vector power(model.network.size(), 0.0);
   for (std::size_t i = 0; i < model.num_blocks; ++i) power[i] = 0.1;
   solver.step(power, util::Seconds(3.3e-6));  // warm: build the factor
-  const std::uint64_t allocs_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     solver.step(power, util::Seconds(3.3e-6));
   }
-  const std::uint64_t allocs =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
   state.SetItemsProcessed(state.iterations());
-  state.counters["allocs_per_step"] =
-      static_cast<double>(allocs) /
-      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
   state.counters["sparse_path"] = solver.sparse_path() ? 1.0 : 0.0;
   thermal::set_sparse_mode_for_test(prev);
 }
@@ -277,17 +214,10 @@ void BM_DieStep(benchmark::State& state) {
   thermal::Vector power(model.network.size(), 0.0);
   for (std::size_t i = 0; i < model.num_blocks; ++i) power[i] = 0.1;
   solver.step(power, util::Seconds(3.3e-6));  // warm: build the operator
-  const std::uint64_t allocs_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     solver.step(power, util::Seconds(3.3e-6));
   }
-  const std::uint64_t allocs =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
   state.SetItemsProcessed(state.iterations());
-  state.counters["allocs_per_step"] =
-      static_cast<double>(allocs) /
-      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
   state.counters["nodes"] = static_cast<double>(model.network.size());
   state.SetLabel(solver.sparse_path() ? "sparse" : "dense");
   thermal::set_sparse_mode_for_test(prev);
@@ -384,28 +314,19 @@ sim::SimConfig short_sim_config() {
 
 // End-to-end System throughput: one short no-DTM run per iteration,
 // reported as committed instructions/second. The System is constructed
-// once and re-run: after the first (warm) run every run() is
-// allocation-free — scratch buffers, accumulators and the thermal
-// fixed-point all reuse member storage — which allocs_per_step asserts
-// (contract: 0, with observability disabled).
+// once and re-run, so every timed run() is warm and allocation-free
+// (alloc_test's AllocationFree.SecondSystemRun asserts that).
 void BM_SystemRunShort(benchmark::State& state) {
   const sim::SimConfig cfg = short_sim_config();
   const workload::WorkloadProfile profile =
       workload::spec2000_profile("gzip");
   sim::System system(profile, cfg, nullptr);
   benchmark::DoNotOptimize(system.run());  // warm: one-time allocations
-  const std::uint64_t allocs_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(system.run());
   }
-  const std::uint64_t allocs =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(cfg.run_instructions));
-  state.counters["allocs_per_step"] =
-      static_cast<double>(allocs) /
-      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
 }
 BENCHMARK(BM_SystemRunShort)->Unit(benchmark::kMillisecond);
 

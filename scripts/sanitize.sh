@@ -5,7 +5,8 @@
 # covers the packed loads); TSan catches data races in the thread pool,
 # RunCache, LuCache, and the persistent store's recovery/eviction paths
 # (the chaos test in recovery_test corrupts and re-opens the store
-# under load).
+# under load). alloc_test, also under perf, checks the hot paths stay
+# allocation-free in both sanitized builds.
 #
 # Usage: scripts/sanitize.sh [ADDRESS|THREAD|all]
 #

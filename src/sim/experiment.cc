@@ -1,7 +1,10 @@
 #include "sim/experiment.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "floorplan/ev7.h"
 #include "obs/obs.h"
@@ -148,10 +151,20 @@ std::unique_ptr<core::DtmPolicy> make_policy(PolicyKind kind,
 
 namespace {
 
+/// An unsigned count from the environment. The whole value must parse,
+/// as util::Config::get_int requires of a CLI key: `2e6` or `abc` throws
+/// instead of silently running a 2- or 0-instruction window.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
+  const char* end = v + std::strlen(v);
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, parsed);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument(std::string(name) + ": cannot parse '" + v +
+                                "' as an unsigned integer");
+  }
+  return parsed;
 }
 
 }  // namespace
@@ -294,11 +307,9 @@ void hash_config_into(util::HashSink& h, const SimConfig& cfg) {
       .u64(cfg.warmup_instructions)
       .u64(cfg.run_instructions)
       .u64(cfg.activity_probe_instructions)
-      // Fast-path knobs are hashed even though both are result-invariant
-      // (bulk_idle_skip is bit-identical; fused_thermal agrees to 1e-9):
-      // the memo cache must never serve a result computed under a
+      // fused_thermal is hashed although it agrees with the LU path to
+      // 1e-9: the memo cache must never serve a result computed under a
       // different numerical path than the caller asked for.
-      .boolean(cfg.bulk_idle_skip)
       .boolean(cfg.fused_thermal);
   hash_package(h, cfg.package);
   hash_sensor(h, cfg.sensor);

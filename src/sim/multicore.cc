@@ -230,18 +230,10 @@ void MulticoreSystem::initialize_thermal_state() {
     }
     tile.probe_frame = tile.core.take_interval_activity();
   };
-  // The probe is by far the most expensive part of (re)starting a run —
-  // ~probe instructions of detailed core simulation per occupied tile —
-  // and its frames are a statistical fingerprint of the bound profiles,
-  // not of any evolving state. A warm system reuses the first run's
-  // frames; only the fresh-system first run pays.
-  if (!probe_cached_) {
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < tiles_.size(); ++i) probe_tile(i);
-    } else {
-      pool_->for_each_index(tiles_.size(), probe_tile);
-    }
-    probe_cached_ = true;
+  if (pool_ == nullptr) {
+    for (std::size_t i = 0; i < tiles_.size(); ++i) probe_tile(i);
+  } else {
+    pool_->for_each_index(tiles_.size(), probe_tile);
   }
 
   const util::Celsius ambient = cfg_.package.ambient;
@@ -389,11 +381,7 @@ void MulticoreSystem::step_tile(std::size_t t, double t_end, bool measure) {
       // tree — only leakage (which the power model charges from its
       // temperatures regardless of activity).
       const bool clocked = !tile.clock_gate_on && occupied;
-      if (cfg_.bulk_idle_skip) {
-        tile.core.idle_cycles(static_cast<std::uint64_t>(n), clocked);
-      } else {
-        for (long long i = 0; i < n; ++i) tile.core.idle_cycle(clocked);
-      }
+      tile.core.idle_cycles(static_cast<std::uint64_t>(n), clocked);
       if (measure) tile.idle_cycles += static_cast<std::uint64_t>(n);
     } else {
       for (long long i = 0; i < n; ++i) tile.core.cycle();

@@ -194,12 +194,6 @@ class MulticoreSystem {
   std::uint32_t die_lane_ = obs::SimLaneScope::kNoLane;  ///< die trace lane
   const util::CancelToken* cancel_ = nullptr;
   std::uint64_t probe_auto_instructions_ = 300'000;
-  /// The activity probe burns ~probe instructions per occupied tile and
-  /// its frames depend only on the bound traces' statistical profiles,
-  /// so repeated run()s of a warm system reuse the first run's frames
-  /// (the dominant cost of re-running a many-core system; a fresh
-  /// system's first run is unchanged).
-  bool probe_cached_ = false;
   /// Route the steady-state fixed point through the sparse Cholesky of
   /// G when the die is past the HYDRA_SPARSE crossover (resolved once;
   /// matches the solver's own step dispatch).

@@ -31,7 +31,9 @@ constexpr char kMagic[4] = {'H', 'Y', 'R', 'C'};
 // v2: RunResult gained the many-core metrics (cores, thread_migrations,
 // core_temp_spread_celsius, budget_throttled_fraction). v1 entries are
 // dropped as stale on recovery and recomputed.
-constexpr std::uint32_t kFormatVersion = 2;
+// v3: the bulk idle-skip knob left SimConfig and its hash, so every
+// cache key moved; v2 entries are dropped as stale.
+constexpr std::uint32_t kFormatVersion = 3;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
 
 std::uint64_t fnv1a64(std::string_view bytes) {

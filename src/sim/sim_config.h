@@ -57,11 +57,6 @@ struct SimConfig {
   fault::FaultCampaign fault_campaign{};
 
   // --- Fast paths ----------------------------------------------------------
-  /// Advance clock-gated / DVS-stalled spans in O(1) instead of one
-  /// idle_cycle() per cycle. Bit-identical results either way (enforced
-  /// by fastpath_test); the knob exists so the reference path stays
-  /// exercised and the identity stays checkable.
-  bool bulk_idle_skip = true;
   /// Use the fused backward-Euler operator (two contiguous matvecs per
   /// thermal step) instead of LU forward/back substitution. Same scheme,
   /// same dt rounding; agrees with the LU path to <=1e-9 degC over full

@@ -326,14 +326,13 @@ void System::advance_until(std::uint64_t target_committed, bool measure,
     if (clock_gate_on_ || stalled) {
       // Idle spans touch no pipeline state, so the whole chunk advances
       // in O(1); the result is bit-identical to the per-cycle loop
-      // (fastpath_test asserts it), which stays available behind the
-      // bulk_idle_skip knob as the reference path. A gated clock tree
-      // burns no base power (clocked=false); a stalled-but-clocked
-      // pipeline does.
-      if (cfg_.bulk_idle_skip) {
-        core_.idle_cycles(static_cast<std::uint64_t>(n), !clock_gate_on_);
-      } else {
+      // (fastpath_test asserts it), which stays behind a test seam as
+      // the reference path. A gated clock tree burns no base power
+      // (clocked=false); a stalled-but-clocked pipeline does.
+      if (per_cycle_idle_) {
         for (long long i = 0; i < n; ++i) core_.idle_cycle(!clock_gate_on_);
+      } else {
+        core_.idle_cycles(static_cast<std::uint64_t>(n), !clock_gate_on_);
       }
       // Counted on both paths so RunResults stay comparable bit-for-bit.
       if (measure) acc_.idle_cycles += static_cast<std::uint64_t>(n);

@@ -137,6 +137,11 @@ class System {
     solver_.inject_fused_fault_for_test();
   }
 
+  /// Test seam: advance idle spans one idle_cycle() at a time instead of
+  /// in O(1). The per-cycle loop is the reference twin of the bulk skip;
+  /// fastpath_test asserts both give the same RunResult bytes.
+  void set_per_cycle_idle_for_test(bool on) { per_cycle_idle_ = on; }
+
   /// Install an observer called once per thermal interval during the
   /// measured run.
   void set_trace_callback(std::function<void(const StepTrace&)> cb) {
@@ -181,6 +186,7 @@ class System {
   /// Non-owning view of policy_ when it is a GuardedPolicy (for stats).
   core::GuardedPolicy* guard_ = nullptr;
   thermal::TransientSolver solver_;
+  bool per_cycle_idle_ = false;  ///< reference idle loop (test seam)
 
   // Scaled event periods [s].
   double sensor_period_s_ = 0.0;

@@ -9,10 +9,6 @@
 #include <immintrin.h>
 #define HYDRA_SIMD_X86 1
 #endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#define HYDRA_SIMD_NEON 1
-#endif
 
 namespace hydra::thermal::simd {
 
@@ -104,43 +100,8 @@ bool cpu_has_avx2_fma() {
 
 #endif  // HYDRA_SIMD_X86
 
-// ---------------------------------------------------------------------------
-// NEON backend (AArch64 baseline — always available there). Two 2-lane
-// registers stand in for the one 4-lane AVX2 register: [s0 s1] and
-// [s2 s3]. vfmaq_f64 is a correctly rounded fma per lane, so the
-// per-class arithmetic and the (s0+s2)+(s1+s3) reduction match the
-// scalar reference bit for bit.
-
-#if defined(HYDRA_SIMD_NEON)
-
-void matvec_neon(const double* a, std::size_t rows, std::size_t cols,
-                 const double* x, double* y) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = a + r * cols;
-    float64x2_t s01 = vdupq_n_f64(0.0);
-    float64x2_t s23 = vdupq_n_f64(0.0);
-    std::size_t c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      s01 = vfmaq_f64(s01, vld1q_f64(row + c), vld1q_f64(x + c));
-      s23 = vfmaq_f64(s23, vld1q_f64(row + c + 2), vld1q_f64(x + c + 2));
-    }
-    double s[kLaneWidth];
-    vst1q_f64(s, s01);
-    vst1q_f64(s + 2, s23);
-    for (; c < cols; ++c) s[c & 3] = std::fma(row[c], x[c], s[c & 3]);
-    y[r] = (s[0] + s[2]) + (s[1] + s[3]);
-  }
-}
-
-// AArch64 has no gather load, so the NEON gather_dot is the scalar
-// class walk (vfma via std::fma is one instruction there).
-
-#endif  // HYDRA_SIMD_NEON
-
 Backend detect_backend() {
-#if defined(HYDRA_SIMD_NEON)
-  return Backend::kNeon;
-#elif defined(HYDRA_SIMD_X86)
+#if defined(HYDRA_SIMD_X86)
   return cpu_has_avx2_fma() ? Backend::kAvx2 : Backend::kScalar;
 #else
   return Backend::kScalar;
@@ -156,7 +117,6 @@ Backend resolve_startup_backend() {
   if (env != nullptr && *env != '\0') {
     if (std::strcmp(env, "scalar") == 0) return Backend::kScalar;
     if (std::strcmp(env, "avx2") == 0) return sanitize(Backend::kAvx2);
-    if (std::strcmp(env, "neon") == 0) return sanitize(Backend::kNeon);
     return Backend::kScalar;  // unknown value: the safe, portable twin
   }
   return detect_backend();
@@ -179,12 +139,6 @@ bool backend_available(Backend b) {
 #else
       return false;
 #endif
-    case Backend::kNeon:
-#if defined(HYDRA_SIMD_NEON)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -203,8 +157,6 @@ const char* backend_name(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -225,11 +177,6 @@ void matvec(const double* a, std::size_t rows, std::size_t cols,
 #if defined(HYDRA_SIMD_X86)
     case Backend::kAvx2:
       matvec_avx2(a, rows, cols, x, y);
-      return;
-#endif
-#if defined(HYDRA_SIMD_NEON)
-    case Backend::kNeon:
-      matvec_neon(a, rows, cols, x, y);
       return;
 #endif
     default:

@@ -3,22 +3,22 @@
 // Every kernel the per-step path runs — Matrix::multiply_into, the fused
 // backward-Euler step and the sparse substitutions — routes through this
 // shim. A backend is picked once at startup (AVX2+FMA on x86-64 when the
-// CPU has it, NEON on AArch64, portable scalar otherwise) and can be
-// overridden with HYDRA_SIMD=scalar|avx2|neon for bit-identity testing;
-// requesting an unavailable backend falls back to scalar so a pinned CI
-// leg never aborts.
+// CPU has it, portable scalar otherwise) and can be overridden with
+// HYDRA_SIMD=scalar|avx2 for bit-identity testing; requesting an
+// unavailable backend falls back to scalar so a pinned CI leg never
+// aborts.
 //
 // Bit-identity contract ("virtual four lanes"): every backend computes a
 // dot product as four column-class partial sums — class j accumulates
 // the terms of columns c with c % 4 == j, each advanced by a correctly
 // rounded fused multiply-add — and reduces them in the fixed tree order
-// (s0 + s2) + (s1 + s3). The scalar backend uses std::fma, AVX2 uses
-// vfmadd over one 4-lane register, NEON uses two 2-lane registers; all
-// three perform the identical sequence of correctly rounded operations
-// per output element, so results are bit-identical across backends (the
-// scalar twin is the reference, and simd_test asserts the equality down
-// to full RunResults). Padded columns hold exact zeros and contribute
-// exact no-op fmas, so the packed and unpacked kernels agree bitwise.
+// (s0 + s2) + (s1 + s3). The scalar backend uses std::fma and AVX2 uses
+// vfmadd over one 4-lane register; both perform the identical sequence
+// of correctly rounded operations per output element, so results are
+// bit-identical across backends (the scalar twin is the reference, and
+// simd_test asserts the equality down to full RunResults). Padded
+// columns hold exact zeros and contribute exact no-op fmas, so the
+// packed and unpacked kernels agree bitwise.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,7 @@
 
 namespace hydra::thermal::simd {
 
-enum class Backend { kScalar, kAvx2, kNeon };
+enum class Backend { kScalar, kAvx2 };
 
 /// Accumulator lane width of the virtual-lane contract (doubles per
 /// AVX2 register). Packed rows are padded to multiples of this.
@@ -58,7 +58,7 @@ const char* backend_name(Backend b);
 /// stride-1 4-wide FMA with no tail. Built once per FusedStepOperator;
 /// plain std::vector storage (the kernels use unaligned loads, which
 /// cost nothing on the hardware that has FMA, and an aligned allocator
-/// would bypass the benches' global operator-new counters).
+/// would bypass alloc_test's global operator-new counter).
 class PackedMatrix {
  public:
   PackedMatrix() = default;
@@ -92,7 +92,7 @@ void packed_matvec(const PackedMatrix& m, const double* x, double* y);
 /// via a correctly rounded fma and the classes reduce as
 /// (s0 + s2) + (s1 + s3). The sparse triangular solves run on this.
 /// Indices are int32 so AVX2 can feed them straight to vgatherdpd; the
-/// scalar and NEON twins walk the same class sequence with std::fma.
+/// scalar twin walks the same class sequence with std::fma.
 double gather_dot(const double* vals, const std::int32_t* idx,
                   std::size_t nnz, const double* x);
 

@@ -21,7 +21,7 @@
 //
 // The triangular substitutions run on thermal::simd::gather_dot, so the
 // sparse path inherits the virtual-lane bit-identity contract: results
-// are bit-identical across scalar/AVX2/NEON backends. Solving is
+// are bit-identical across the scalar and AVX2 backends. Solving is
 // read-only and allocation-free (caller-provided scratch), so one
 // factorisation serves many threads concurrently.
 #pragma once

@@ -127,20 +127,20 @@ TEST(FastPath, FusedBEMatchesBackwardEulerOverHybridRun) {
 
 // Clock-gating quanta and stalled DVS transitions are the idle spans the
 // bulk skip advances in O(1); with a clock-gating policy on a hot
-// workload both paths must produce the same RunResult, field for field.
+// workload it must produce the same RunResult, field for field, as the
+// per-cycle reference loop behind System's test seam.
 TEST(FastPath, BulkIdleSkipResultIdentical) {
   sim::SimConfig cfg = sim::default_sim_config();
   cfg.run_instructions = 300'000;
   cfg.warmup_instructions = 80'000;
   cfg.dvs_stall = true;
 
-  cfg.bulk_idle_skip = false;
   sim::System ref_sys(
       workload::spec2000_profile("art"), cfg,
       sim::make_policy(sim::PolicyKind::kClockGating, {}, cfg));
+  ref_sys.set_per_cycle_idle_for_test(true);
   const sim::RunResult ref = ref_sys.run();
 
-  cfg.bulk_idle_skip = true;
   sim::System fast_sys(
       workload::spec2000_profile("art"), cfg,
       sim::make_policy(sim::PolicyKind::kClockGating, {}, cfg));

@@ -1,12 +1,9 @@
-// Observability layer: metrics correctness under concurrency, trace
-// export well-formedness, and the hot-path contracts (disabled and
-// warmed-enabled record calls are allocation-free).
+// Observability layer: metrics correctness under concurrency and trace
+// export well-formedness. The allocation-free record-path contracts live
+// in alloc_test, beside the operator-new counter they need.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,27 +11,8 @@
 
 #include "obs/obs.h"
 
-// Global allocation counter so the hot-path tests can assert record
-// calls never allocate (the layer's core contract).
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace hydra::obs {
 namespace {
-
-std::uint64_t allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
 
 TEST(Metrics, CounterConcurrentIncrements) {
   Registry reg;
@@ -126,59 +104,6 @@ TEST(Metrics, GaugeLastWriterWins) {
   const MetricsSnapshot snap = reg.scrape();
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].second, 8.0);
-}
-
-// The reason the layer can be compiled into every hot loop: with the
-// registry/tracer disabled, record calls are a relaxed load + branch and
-// must never allocate.
-TEST(Metrics, DisabledRecordPathIsAllocationFree) {
-  Registry reg;
-  const Counter c = reg.counter("off.counter");
-  const Histogram h = reg.histogram("off.hist", {1.0, 10.0});
-  const Gauge g = reg.gauge("off.gauge");
-  ASSERT_FALSE(reg.enabled());
-
-  const std::uint64_t before = allocs();
-  for (int i = 0; i < 100'000; ++i) {
-    c.add();
-    h.record(static_cast<double>(i));
-    g.set(static_cast<double>(i));
-  }
-  EXPECT_EQ(allocs() - before, 0u);
-}
-
-// Enabled counters stay allocation-free too once the calling thread has
-// recorded once (first record registers the thread's shard).
-TEST(Metrics, EnabledWarmedRecordPathIsAllocationFree) {
-  Registry reg;
-  reg.set_enabled(true);
-  const Counter c = reg.counter("on.counter");
-  const Histogram h = reg.histogram("on.hist", {1.0, 10.0});
-  c.add();          // warm: registers this thread's shard
-  h.record(1.0);
-
-  const std::uint64_t before = allocs();
-  for (int i = 0; i < 100'000; ++i) {
-    c.add();
-    h.record(static_cast<double>(i));
-  }
-  EXPECT_EQ(allocs() - before, 0u);
-
-  const MetricsSnapshot snap = reg.scrape();
-  EXPECT_EQ(snap.counters[0].second, 100'001u);
-}
-
-TEST(Trace, DisabledRecordPathIsAllocationFree) {
-  Tracer tracer;
-  ASSERT_FALSE(tracer.enabled());
-  const std::uint64_t before = allocs();
-  for (int i = 0; i < 100'000; ++i) {
-    tracer.instant(0, TimeDomain::kSim, "cat", "ev", 1.0);
-    tracer.counter(0, TimeDomain::kSim, "track", 1.0, 2.0);
-    const ScopedSpan span(tracer, "cat", "span");
-  }
-  EXPECT_EQ(allocs() - before, 0u);
-  EXPECT_EQ(tracer.size(), 0u);
 }
 
 /// Minimal structural JSON validation: balanced braces/brackets outside

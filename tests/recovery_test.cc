@@ -7,9 +7,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -542,6 +544,48 @@ TEST(ConfigRejectUnknown, UnknownKeyDiagnosticCarriesFileLineAndSuggestion) {
 TEST(ConfigRejectUnknown, KnownKeysPass) {
   util::Config cfg = util::Config::from_args({"benchmark=crafty"});
   EXPECT_NO_THROW(cfg.reject_unknown({"benchmark", "policy"}));
+}
+
+// Puts one environment variable back as it was on scope exit.
+class EnvRestore {
+ public:
+  explicit EnvRestore(const char* name) : name_(name) {
+    if (const char* v = std::getenv(name)) saved_ = v;
+  }
+  ~EnvRestore() {
+    if (saved_) {
+      setenv(name_, saved_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  EnvRestore(const EnvRestore&) = delete;
+  EnvRestore& operator=(const EnvRestore&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+// The run-length environment variables get the same full-string check
+// as the CLI keys: `2e6` would otherwise measure a 2-instruction window
+// and `abc` an empty one, both printed as a normal result.
+TEST(ConfigRejectUnknown, MalformedRunLengthEnvironmentThrows) {
+  for (const char* name :
+       {"HYDRA_RUN_INSTRUCTIONS", "HYDRA_WARMUP_INSTRUCTIONS"}) {
+    const EnvRestore restore(name);
+    for (const char* bad : {"2e6", "abc"}) {
+      setenv(name, bad, 1);
+      try {
+        (void)default_sim_config();
+        ADD_FAILURE() << name << "=" << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_NO_THROW((void)default_sim_config());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // SIMD backend bit-identity tests.
 //
-// The contract under test (thermal/simd.h): every backend — scalar,
-// AVX2, NEON — performs the identical sequence of correctly rounded
+// The contract under test (thermal/simd.h): every backend — scalar and
+// AVX2 — performs the identical sequence of correctly rounded
 // fused multiply-adds per output element ("virtual four lanes"), so
 // kernels and full System runs produce bit-identical results regardless
 // of which backend executes them.
@@ -34,9 +34,6 @@ struct BackendGuard {
 std::optional<simd::Backend> native_backend() {
   if (simd::backend_available(simd::Backend::kAvx2)) {
     return simd::Backend::kAvx2;
-  }
-  if (simd::backend_available(simd::Backend::kNeon)) {
-    return simd::Backend::kNeon;
   }
   return std::nullopt;
 }

@@ -63,7 +63,7 @@
 //   trace_csv     the same events as flat CSV
 //   metrics       metrics registry scrape as CSV (kind,name,field,value)
 //   summary_json  machine-readable run summary: results + engine cache
-//                 stats + merged metrics (consumed by CI's bench gate)
+//                 stats + merged metrics (uploaded by CI's benchmark job)
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
