@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
   }
   try {
     const util::Config cfg = util::Config::from_args(overrides);
-    const auto rows = static_cast<std::size_t>(cfg.get_int("rows", 24));
-    const auto cols = static_cast<std::size_t>(cfg.get_int("cols", 48));
+    const auto rows = cfg.get<std::size_t>("rows", 24);
+    const auto cols = cfg.get<std::size_t>("cols", 48);
 
     // Representative activity for the benchmark.
     const workload::WorkloadProfile profile =

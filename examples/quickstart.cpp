@@ -2,7 +2,9 @@
 // policy and watch temperature, voltage and fetch gating evolve.
 //
 // Usage: quickstart [benchmark] [key=value ...]
-//   e.g. quickstart art run_instructions=2000000
+//   e.g. quickstart art run_instructions=2000000 dvs_stall=false
+// Each key is the dotted path of a SimConfig field, as hydra_run takes
+// it (core.rob_entries=128, thresholds.trigger=80, ...).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -10,6 +12,7 @@
 
 #include "sim/experiment.h"
 #include "util/config.h"
+#include "util/fields.h"
 
 using namespace hydra;
 
@@ -28,11 +31,11 @@ int main(int argc, char** argv) {
   sim::SimConfig cfg = sim::default_sim_config();
   try {
     const util::Config overrides_cfg = util::Config::from_args(overrides);
-    cfg.run_instructions = static_cast<std::uint64_t>(overrides_cfg.get_int(
-        "run_instructions", static_cast<long long>(cfg.run_instructions)));
-    cfg.dvs_stall = overrides_cfg.get_bool("dvs_stall", cfg.dvs_stall);
-    cfg.v_low_fraction =
-        overrides_cfg.get_double("v_low_fraction", cfg.v_low_fraction);
+    for (const std::string& key : overrides_cfg.keys()) {
+      if (!util::set_field(cfg, key, overrides_cfg.get_string(key, ""))) {
+        throw std::invalid_argument("unknown SimConfig field '" + key + "'");
+      }
+    }
 
     const workload::WorkloadProfile profile =
         workload::spec2000_profile(bench);

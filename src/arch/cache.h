@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/fields.h"
+
 namespace hydra::arch {
 
 struct CacheConfig {
@@ -16,6 +18,13 @@ struct CacheConfig {
   std::size_t line_bytes = 64;
   std::size_t associativity = 2;
 };
+
+template <util::FieldsOf<CacheConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("size_bytes", c.size_bytes);
+  f("line_bytes", c.line_bytes);
+  f("associativity", c.associativity);
+}
 
 class Cache {
  public:

@@ -7,6 +7,7 @@
 
 #include "arch/cache.h"
 #include "arch/tournament_predictor.h"
+#include "util/fields.h"
 
 namespace hydra::arch {
 
@@ -79,5 +80,42 @@ struct CoreConfig {
   /// Nominal clock used to size memory latency before set_frequency().
   double nominal_frequency_hz = 3.0e9;
 };
+
+template <util::FieldsOf<CoreConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("fetch_width", c.fetch_width);
+  f("rename_width", c.rename_width);
+  f("issue_width", c.issue_width);
+  f("commit_width", c.commit_width);
+  f("rob_entries", c.rob_entries);
+  f("frontend_entries", c.frontend_entries);
+  f("int_queue_entries", c.int_queue_entries);
+  f("fp_queue_entries", c.fp_queue_entries);
+  f("ls_queue_entries", c.ls_queue_entries);
+  f("int_alu_units", c.int_alu_units);
+  f("int_mul_units", c.int_mul_units);
+  f("fp_add_units", c.fp_add_units);
+  f("fp_mul_units", c.fp_mul_units);
+  f("mem_ports", c.mem_ports);
+  f("int_alu_latency", c.int_alu_latency);
+  f("int_mul_latency", c.int_mul_latency);
+  f("fp_add_latency", c.fp_add_latency);
+  f("fp_mul_latency", c.fp_mul_latency);
+  f("l1_hit_latency", c.l1_hit_latency);
+  f("l2_hit_latency", c.l2_hit_latency);
+  f("tlb_miss_penalty", c.tlb_miss_penalty);
+  f("mispredict_penalty", c.mispredict_penalty);
+  f("memory_latency_ns", c.memory_latency_ns);
+  f("icache", c.icache);
+  f("dcache", c.dcache);
+  f("l2", c.l2);
+  f("predictor", c.predictor);
+  f("bpred_index_bits", c.bpred_index_bits);
+  f("bpred_history_bits", c.bpred_history_bits);
+  f("tournament", c.tournament);
+  f("mshr_entries", c.mshr_entries);
+  f("store_forwarding", c.store_forwarding);
+  f("nominal_frequency_hz", c.nominal_frequency_hz);
+}
 
 }  // namespace hydra::arch

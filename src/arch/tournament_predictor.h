@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/fields.h"
+
 namespace hydra::arch {
 
 struct TournamentConfig {
@@ -25,6 +27,13 @@ struct TournamentConfig {
   int local_table_bits = 10;     ///< log2 entries of both local tables
   int global_bits = 12;          ///< log2 entries of global/chooser tables
 };
+
+template <util::FieldsOf<TournamentConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("local_history_bits", c.local_history_bits);
+  f("local_table_bits", c.local_table_bits);
+  f("global_bits", c.global_bits);
+}
 
 class TournamentPredictor {
  public:

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/fields.h"
 #include "util/units.h"
 
 namespace hydra::core {
@@ -45,6 +46,15 @@ struct BudgetArbiterConfig {
   /// it). Debounces the discrete DVS step against power noise.
   std::size_t dvs_debounce_updates = 3;
 };
+
+template <util::FieldsOf<BudgetArbiterConfig> Self, class F>
+void visit_fields(Self& a, F&& f) {
+  f("die_budget", a.die_budget);
+  f("gain", a.gain);
+  f("release", a.release);
+  f("max_gate_fraction", a.max_gate_fraction);
+  f("dvs_debounce_updates", a.dvs_debounce_updates);
+}
 
 /// Per-tile floor command; compose with the local policy by max().
 struct ArbiterCommand {

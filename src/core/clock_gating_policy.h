@@ -8,6 +8,7 @@
 #pragma once
 
 #include "core/dtm_policy.h"
+#include "util/fields.h"
 
 namespace hydra::core {
 
@@ -15,6 +16,11 @@ struct ClockGatingConfig {
   /// Hysteresis below trigger before releasing the clock.
   util::CelsiusDelta hysteresis{0.2};
 };
+
+template <util::FieldsOf<ClockGatingConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("hysteresis", c.hysteresis);
+}
 
 class ClockGatingPolicy final : public DtmPolicy {
  public:

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/fields.h"
 #include "util/units.h"
 
 namespace hydra::core {
@@ -22,6 +23,12 @@ struct DtmThresholds {
   util::Celsius trigger{81.8};
   util::Celsius emergency{85.0};
 };
+
+template <util::FieldsOf<DtmThresholds> Self, class F>
+void visit_fields(Self& t, F&& f) {
+  f("trigger", t.trigger);
+  f("emergency", t.emergency);
+}
 
 /// One sensor sampling instant.
 struct ThermalSample {

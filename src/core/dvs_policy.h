@@ -17,6 +17,7 @@
 #include "control/pi_controller.h"
 #include "core/dtm_policy.h"
 #include "power/voltage_freq.h"
+#include "util/fields.h"
 
 namespace hydra::core {
 
@@ -32,6 +33,15 @@ struct DvsPolicyConfig {
   /// Hysteresis below the trigger for raising voltage.
   util::CelsiusDelta hysteresis{0.3};
 };
+
+template <util::FieldsOf<DvsPolicyConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("mode", c.mode);
+  f("kp", c.kp);
+  f("ki", c.ki);
+  f("raise_filter_samples", c.raise_filter_samples);
+  f("hysteresis", c.hysteresis);
+}
 
 class DvsPolicy final : public DtmPolicy {
  public:

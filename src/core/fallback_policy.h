@@ -19,6 +19,7 @@
 #include "control/pi_controller.h"
 #include "core/dtm_policy.h"
 #include "power/voltage_freq.h"
+#include "util/fields.h"
 
 namespace hydra::core {
 
@@ -36,6 +37,16 @@ struct FallbackConfig {
   std::size_t release_filter_samples = 3;
   util::CelsiusDelta hysteresis{0.3};
 };
+
+template <util::FieldsOf<FallbackConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("ki", c.ki);
+  f("kp", c.kp);
+  f("max_gate_fraction", c.max_gate_fraction);
+  f("emergency_margin", c.emergency_margin);
+  f("release_filter_samples", c.release_filter_samples);
+  f("hysteresis", c.hysteresis);
+}
 
 /// Escalate fetch gating to exhaustion; add DVS only in extremis.
 class FallbackPolicy final : public DtmPolicy {

@@ -12,6 +12,7 @@
 
 #include "control/pi_controller.h"
 #include "core/dtm_policy.h"
+#include "util/fields.h"
 
 namespace hydra::core {
 
@@ -30,6 +31,15 @@ struct FetchGatingConfig {
   /// Fixed mode: the gating fraction applied while above trigger.
   double fixed_gate_fraction = 0.75;
 };
+
+template <util::FieldsOf<FetchGatingConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("mode", c.mode);
+  f("ki", c.ki);
+  f("kp", c.kp);
+  f("max_gate_fraction", c.max_gate_fraction);
+  f("fixed_gate_fraction", c.fixed_gate_fraction);
+}
 
 class FetchGatingPolicy final : public DtmPolicy {
  public:

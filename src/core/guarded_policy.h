@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "core/dtm_policy.h"
+#include "util/fields.h"
 
 namespace hydra::core {
 
@@ -92,6 +93,26 @@ struct GuardedPolicyConfig {
   /// below the detection threshold (see file comment).
   util::CelsiusDelta pessimism_bias{0.75};
 };
+
+template <util::FieldsOf<GuardedPolicyConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("min_plausible", c.min_plausible);
+  f("max_plausible", c.max_plausible);
+  f("max_rate", c.max_rate);
+  f("noise_margin", c.noise_margin);
+  f("frozen_samples", c.frozen_samples);
+  f("learn_samples", c.learn_samples);
+  f("deviation_alpha", c.deviation_alpha);
+  f("drift_cap", c.drift_cap);
+  f("suspect_samples", c.suspect_samples);
+  f("substitution_margin", c.substitution_margin);
+  f("recovery_band", c.recovery_band);
+  f("recovery_samples", c.recovery_samples);
+  f("backoff_max_factor", c.backoff_max_factor);
+  f("failsafe_lost_fraction", c.failsafe_lost_fraction);
+  f("failsafe_release_samples", c.failsafe_release_samples);
+  f("pessimism_bias", c.pessimism_bias);
+}
 
 /// Counters describing what the supervisor did during a run.
 struct GuardStats {

@@ -24,6 +24,7 @@
 #include "control/pi_controller.h"
 #include "core/dtm_policy.h"
 #include "power/voltage_freq.h"
+#include "util/fields.h"
 
 namespace hydra::core {
 
@@ -57,6 +58,18 @@ struct HybridConfig {
   /// sensor period.
   std::size_t escalate_filter_samples = 2;
 };
+
+template <util::FieldsOf<HybridConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("crossover_gate_fraction", c.crossover_gate_fraction);
+  f("kp", c.kp);
+  f("ki", c.ki);
+  f("crossover_margin", c.crossover_margin);
+  f("dvs_threshold_offset", c.dvs_threshold_offset);
+  f("hysteresis", c.hysteresis);
+  f("release_filter_samples", c.release_filter_samples);
+  f("escalate_filter_samples", c.escalate_filter_samples);
+}
 
 /// Feedback-controlled hybrid ("PI-Hyb").
 class PiHybridPolicy final : public DtmPolicy {

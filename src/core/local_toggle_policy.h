@@ -10,6 +10,7 @@
 
 #include "control/pi_controller.h"
 #include "core/dtm_policy.h"
+#include "util/fields.h"
 
 namespace hydra::core {
 
@@ -20,6 +21,13 @@ struct LocalToggleConfig {
   /// Upper bound on the issue-gating fraction.
   double max_gate_fraction = 0.75;
 };
+
+template <util::FieldsOf<LocalToggleConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("ki", c.ki);
+  f("kp", c.kp);
+  f("max_gate_fraction", c.max_gate_fraction);
+}
 
 class LocalTogglePolicy final : public DtmPolicy {
  public:

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/dtm_policy.h"
+#include "util/fields.h"
 #include "util/units.h"
 
 namespace hydra::core {
@@ -46,6 +47,15 @@ struct MigrationConfig {
   /// the thread buys nothing.
   util::Celsius trigger{81.8};
 };
+
+template <util::FieldsOf<MigrationConfig> Self, class F>
+void visit_fields(Self& m, F&& f) {
+  f("interval", m.interval);
+  f("cost_cycles", m.cost_cycles);
+  f("flush_energy", m.flush_energy);
+  f("margin", m.margin);
+  f("trigger", m.trigger);
+}
 
 /// One tile's state as the policy sees it.
 struct TileThermalState {

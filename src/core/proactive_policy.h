@@ -15,6 +15,7 @@
 
 #include "control/low_pass.h"
 #include "core/hybrid_policy.h"
+#include "util/fields.h"
 
 namespace hydra::core {
 
@@ -25,6 +26,13 @@ struct ProactiveConfig {
   /// Smoothing factor for the slope estimate (per sample).
   double slope_filter_alpha = 0.25;
 };
+
+template <util::FieldsOf<ProactiveConfig> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("hybrid", c.hybrid);
+  f("horizon", c.horizon);
+  f("slope_filter_alpha", c.slope_filter_alpha);
+}
 
 /// Hyb with slope-based temperature prediction.
 class ProactiveHybridPolicy final : public DtmPolicy {

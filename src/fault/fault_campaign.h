@@ -32,6 +32,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/fields.h"
+
 namespace hydra::fault {
 
 enum class FaultKind {
@@ -70,6 +72,16 @@ struct FaultEvent {
     return t >= start_seconds && t < end_seconds();
   }
 };
+
+template <util::FieldsOf<FaultEvent> Self, class F>
+void visit_fields(Self& e, F&& f) {
+  f("sensor", e.sensor);
+  f("kind", e.kind);
+  f("start_seconds", e.start_seconds);
+  f("duration_seconds", e.duration_seconds);
+  f("magnitude", e.magnitude);
+  f("probability", e.probability);
+}
 
 /// An immutable schedule of fault events plus the seed for the stochastic
 /// fault realisations (burst noise draws, spike timing). Two campaigns
@@ -112,8 +124,17 @@ class FaultCampaign {
       const std::vector<std::string_view>& sensor_names) const;
 
  private:
+  template <util::FieldsOf<FaultCampaign> Self, class F>
+  friend void visit_fields(Self& c, F&& f);
+
   std::vector<FaultEvent> events_;
   std::uint64_t seed_ = 0xFA017;
 };
+
+template <util::FieldsOf<FaultCampaign> Self, class F>
+void visit_fields(Self& c, F&& f) {
+  f("seed", c.seed_);
+  f("events", c.events_);
+}
 
 }  // namespace hydra::fault

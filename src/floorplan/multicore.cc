@@ -4,6 +4,7 @@
 #include <deque>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "floorplan/ev7.h"
 #include "util/sync.h"
@@ -64,8 +65,13 @@ Floorplan multicore_floorplan(std::size_t cores) {
     for (std::size_t b = 0; b < unit.size(); ++b) {
       const Block& src = unit.block(b);
       Block blk = src;
-      blk.name = intern_name("c" + std::to_string(t) + "." +
-                             std::string(src.name));
+      // Appended piecewise: GCC 12's -Wrestrict misfires on the
+      // equivalent operator+ chain.
+      std::string name = "c";
+      name += std::to_string(t);
+      name += '.';
+      name += src.name;
+      blk.name = intern_name(std::move(name));
       blk.x = x0 + src.x * sx;
       blk.y = y0 + src.y * sy;
       blk.width = src.width * sx;

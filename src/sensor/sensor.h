@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/fields.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -33,6 +34,17 @@ struct SensorConfig {
   bool enable_noise = true;
   bool enable_offset = true;
 };
+
+template <util::FieldsOf<SensorConfig> Self, class F>
+void visit_fields(Self& s, F&& f) {
+  f("noise_sigma", s.noise_sigma);
+  f("quantization", s.quantization);
+  f("max_offset", s.max_offset);
+  f("sample_rate", s.sample_rate);
+  f("seed", s.seed);
+  f("enable_noise", s.enable_noise);
+  f("enable_offset", s.enable_offset);
+}
 
 /// A bank of per-block sensors.
 class SensorBank {

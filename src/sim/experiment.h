@@ -26,6 +26,7 @@
 #include "core/proactive_policy.h"
 #include "sim/run_cache.h"
 #include "sim/system.h"
+#include "util/fields.h"
 #include "util/thread_pool.h"
 #include "workload/spec_profiles.h"
 
@@ -63,6 +64,19 @@ struct PolicyParams {
   bool guarded = false;
   core::GuardedPolicyConfig guard{};
 };
+
+template <util::FieldsOf<PolicyParams> Self, class F>
+void visit_fields(Self& p, F&& f) {
+  f("dvs", p.dvs);
+  f("fetch_gating", p.fetch_gating);
+  f("clock_gating", p.clock_gating);
+  f("hybrid", p.hybrid);
+  f("proactive", p.proactive);
+  f("local_toggle", p.local_toggle);
+  f("fallback", p.fallback);
+  f("guarded", p.guarded);
+  f("guard", p.guard);
+}
 
 /// Per-sensor neighbour lists derived from the modelled floorplan's
 /// shared-edge adjacency (sensor i sits on block i).

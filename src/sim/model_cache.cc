@@ -4,30 +4,15 @@
 
 #include "floorplan/multicore.h"
 #include "obs/obs.h"
+#include "util/fields.h"
 #include "util/hash.h"
 
 namespace hydra::sim {
 
 std::uint64_t model_key(const SimConfig& cfg) {
   util::HashSink h;
-  const thermal::Package& p = cfg.package;
-  h.f64(p.die_thickness_m)
-      .f64(p.k_silicon)
-      .f64(p.c_silicon)
-      .f64(p.tim_thickness_m)
-      .f64(p.k_tim)
-      .f64(p.spreader_side_m)
-      .f64(p.spreader_thickness_m)
-      .f64(p.k_copper)
-      .f64(p.c_copper)
-      .f64(p.sink_side_m)
-      .f64(p.sink_thickness_m)
-      .f64(p.k_sink)
-      .f64(p.c_sink)
-      .f64(p.r_convec.value())
-      .f64(p.ambient.value())
-      .f64(cfg.time_scale)
-      .u64(cfg.multicore.cores);
+  util::encode_fields(h, cfg.package);
+  h.f64(cfg.time_scale).u64(cfg.multicore.cores);
   return h.digest();
 }
 

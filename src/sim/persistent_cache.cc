@@ -1,7 +1,7 @@
 #include "sim/persistent_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/fields.h"
 
 namespace hydra::sim {
 namespace {
@@ -28,8 +29,7 @@ namespace fs = std::filesystem;
 // size, checksum mismatch, undecodable payload — classifies the file as
 // corrupt; a version we don't speak classifies it as stale.
 constexpr char kMagic[4] = {'H', 'Y', 'R', 'C'};
-// v2: RunResult gained the many-core metrics (cores, thread_migrations,
-// core_temp_spread_celsius, budget_throttled_fraction). v1 entries are
+// v2: RunResult gained its four many-core metrics. v1 entries are
 // dropped as stale on recovery and recomputed.
 // v3: the bulk idle-skip knob left SimConfig and its hash, so every
 // cache key moved; v2 entries are dropped as stale.
@@ -45,28 +45,11 @@ std::uint64_t fnv1a64(std::string_view bytes) {
   return h;
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
+/// `bytes` little-endian bytes of `v`.
+void put_uint(std::string& out, std::uint64_t v, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
   }
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.append(s);
 }
 
 // Bounds-checked little-endian reader; every getter degrades to a
@@ -77,42 +60,22 @@ struct Reader {
   std::size_t pos = 0;
   bool ok = true;
 
-  std::uint64_t u64() {
-    if (!ok || data.size() - pos < 8) {
+  /// `bytes` little-endian bytes as an unsigned value.
+  std::uint64_t uint(std::size_t bytes) {
+    if (!ok || data.size() - pos < bytes) {
       ok = false;
       return 0;
     }
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data[pos + static_cast<std::size_t>(i)]))
-           << (8 * i);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      v |= std::uint64_t{static_cast<unsigned char>(data[pos + i])} << (8 * i);
     }
-    pos += 8;
+    pos += bytes;
     return v;
   }
-
-  std::uint32_t u32() {
-    if (!ok || data.size() - pos < 4) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(data[pos + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return ok ? v : 0.0;
-  }
+  std::uint64_t u64() { return uint(8); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(uint(4)); }
+  double f64() { return std::bit_cast<double>(u64()); }
 
   std::string str() {
     const std::uint64_t len = u64();
@@ -201,72 +164,19 @@ std::uint64_t entry_key_of(const fs::path& p, bool& ok) {
 
 }  // namespace
 
+// The payload is RunResult's fields in visit order, by type: strings
+// length-prefixed, counts as u64, doubles as their exact bits.
 std::string serialize_run_result(const RunResult& r) {
   std::string out;
   out.reserve(256);
-  put_str(out, r.benchmark);
-  put_str(out, r.policy);
-  put_f64(out, r.wall_seconds);
-  put_u64(out, r.instructions);
-  put_u64(out, r.cycles);
-  put_f64(out, r.ipc);
-  put_f64(out, r.max_true_celsius);
-  put_f64(out, r.violation_fraction);
-  put_f64(out, r.above_trigger_fraction);
-  put_u64(out, static_cast<std::uint64_t>(r.dvs_transitions));
-  put_f64(out, r.mean_gate_fraction);
-  put_f64(out, r.mean_issue_gate_fraction);
-  put_f64(out, r.dvs_low_fraction);
-  put_f64(out, r.clock_gated_fraction);
-  put_f64(out, r.mean_power_watts);
-  put_str(out, r.hottest_block);
-  put_f64(out, r.hottest_mean_celsius);
-  put_f64(out, r.idle_skip_fraction);
-  put_u64(out, r.solver_guard_trips);
-  put_u64(out, r.faulted_samples);
-  put_u64(out, r.sensor_rejections);
-  put_u64(out, r.quarantine_entries);
-  put_f64(out, r.failsafe_fraction);
-  put_f64(out, r.fault_window_fraction);
-  put_f64(out, r.fault_violation_fraction);
-  put_u64(out, static_cast<std::uint64_t>(r.cores));
-  put_u64(out, r.thread_migrations);
-  put_f64(out, r.core_temp_spread_celsius);
-  put_f64(out, r.budget_throttled_fraction);
+  util::ByteSink sink{out};
+  util::encode_fields(sink, r);
   return out;
 }
 
 bool deserialize_run_result(std::string_view payload, RunResult& out) {
   Reader r{payload, 0, true};
-  out.benchmark = r.str();
-  out.policy = r.str();
-  out.wall_seconds = r.f64();
-  out.instructions = r.u64();
-  out.cycles = r.u64();
-  out.ipc = r.f64();
-  out.max_true_celsius = r.f64();
-  out.violation_fraction = r.f64();
-  out.above_trigger_fraction = r.f64();
-  out.dvs_transitions = static_cast<std::size_t>(r.u64());
-  out.mean_gate_fraction = r.f64();
-  out.mean_issue_gate_fraction = r.f64();
-  out.dvs_low_fraction = r.f64();
-  out.clock_gated_fraction = r.f64();
-  out.mean_power_watts = r.f64();
-  out.hottest_block = r.str();
-  out.hottest_mean_celsius = r.f64();
-  out.idle_skip_fraction = r.f64();
-  out.solver_guard_trips = r.u64();
-  out.faulted_samples = r.u64();
-  out.sensor_rejections = r.u64();
-  out.quarantine_entries = r.u64();
-  out.failsafe_fraction = r.f64();
-  out.fault_window_fraction = r.f64();
-  out.fault_violation_fraction = r.f64();
-  out.cores = static_cast<std::size_t>(r.u64());
-  out.thread_migrations = r.u64();
-  out.core_temp_spread_celsius = r.f64();
-  out.budget_throttled_fraction = r.f64();
+  util::decode_fields(r, out);
   return r.ok && r.pos == payload.size();
 }
 
@@ -278,19 +188,6 @@ PersistentRunCache::PersistentRunCache(Options opts)
   if (opts_.shards == 0) opts_.shards = 1;
   const util::LockGuard lock(mu_);
   recover_locked();
-}
-
-std::shared_ptr<PersistentRunCache> PersistentRunCache::from_env() {
-  const char* dir = std::getenv("HYDRA_CACHE_DIR");
-  if (dir == nullptr || dir[0] == '\0') return nullptr;
-  Options opts;
-  opts.dir = dir;
-  if (const char* cap = std::getenv("HYDRA_CACHE_MAX_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(cap, &end, 10);
-    if (end != cap && v > 0) opts.max_bytes = v;
-  }
-  return std::make_shared<PersistentRunCache>(std::move(opts));
 }
 
 fs::path PersistentRunCache::shard_dir(std::uint64_t key) const {
@@ -542,11 +439,11 @@ void PersistentRunCache::save(std::uint64_t key, const RunResult& result) {
   std::string blob;
   blob.reserve(kHeaderBytes + payload.size() + 8);
   blob.append(kMagic, sizeof(kMagic));
-  put_u32(blob, kFormatVersion);
-  put_u64(blob, key);
-  put_u64(blob, payload.size());
+  put_uint(blob, kFormatVersion, 4);
+  put_uint(blob, key, 8);
+  put_uint(blob, payload.size(), 8);
   blob.append(payload);
-  put_u64(blob, checksum);
+  put_uint(blob, checksum, 8);
 
   const fs::path final_path = entry_path(key);
   const fs::path tmp_path =

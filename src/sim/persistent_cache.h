@@ -88,10 +88,6 @@ class PersistentRunCache {
   /// cannot be created or is not writable.
   explicit PersistentRunCache(Options opts);
 
-  /// The store for the HYDRA_CACHE_DIR environment variable (capacity
-  /// from HYDRA_CACHE_MAX_BYTES when set), or nullptr when unset.
-  static std::shared_ptr<PersistentRunCache> from_env();
-
   /// Verified entry for `key`, or nullptr. A corrupt entry is
   /// quarantined and reported as a miss; a version-mismatched entry is
   /// deleted and reported as a miss.

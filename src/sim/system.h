@@ -30,6 +30,7 @@
 #include "thermal/model_builder.h"
 #include "thermal/solver.h"
 #include "util/cancel.h"
+#include "util/fields.h"
 #include "workload/synthetic_trace.h"
 
 namespace hydra::sim {
@@ -86,6 +87,41 @@ struct RunResult {
 
   bool thermally_safe() const { return violation_fraction == 0.0; }
 };
+
+/// Visit order is the persistent cache's payload layout: adding, moving
+/// or retyping a field changes the format (kFormatVersion).
+template <util::FieldsOf<RunResult> Self, class F>
+void visit_fields(Self& r, F&& f) {
+  f("benchmark", r.benchmark);
+  f("policy", r.policy);
+  f("wall_seconds", r.wall_seconds);
+  f("instructions", r.instructions);
+  f("cycles", r.cycles);
+  f("ipc", r.ipc);
+  f("max_true_celsius", r.max_true_celsius);
+  f("violation_fraction", r.violation_fraction);
+  f("above_trigger_fraction", r.above_trigger_fraction);
+  f("dvs_transitions", r.dvs_transitions);
+  f("mean_gate_fraction", r.mean_gate_fraction);
+  f("mean_issue_gate_fraction", r.mean_issue_gate_fraction);
+  f("dvs_low_fraction", r.dvs_low_fraction);
+  f("clock_gated_fraction", r.clock_gated_fraction);
+  f("mean_power_watts", r.mean_power_watts);
+  f("hottest_block", r.hottest_block);
+  f("hottest_mean_celsius", r.hottest_mean_celsius);
+  f("idle_skip_fraction", r.idle_skip_fraction);
+  f("solver_guard_trips", r.solver_guard_trips);
+  f("faulted_samples", r.faulted_samples);
+  f("sensor_rejections", r.sensor_rejections);
+  f("quarantine_entries", r.quarantine_entries);
+  f("failsafe_fraction", r.failsafe_fraction);
+  f("fault_window_fraction", r.fault_window_fraction);
+  f("fault_violation_fraction", r.fault_violation_fraction);
+  f("cores", r.cores);
+  f("thread_migrations", r.thread_migrations);
+  f("core_temp_spread_celsius", r.core_temp_spread_celsius);
+  f("budget_throttled_fraction", r.budget_throttled_fraction);
+}
 
 /// Size of the next advance_until chunk: up to the next scheduled event,
 /// never past the thermal-interval boundary, capped at 4096 cycles so

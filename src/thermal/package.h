@@ -1,6 +1,7 @@
 // Thermal package parameters (paper Section 3).
 #pragma once
 
+#include "util/fields.h"
 #include "util/units.h"
 
 namespace hydra::thermal {
@@ -42,5 +43,24 @@ struct Package {
   /// Ambient (inside-case) air temperature.
   util::Celsius ambient{45.0};
 };
+
+template <util::FieldsOf<Package> Self, class F>
+void visit_fields(Self& p, F&& f) {
+  f("die_thickness_m", p.die_thickness_m);
+  f("k_silicon", p.k_silicon);
+  f("c_silicon", p.c_silicon);
+  f("tim_thickness_m", p.tim_thickness_m);
+  f("k_tim", p.k_tim);
+  f("spreader_side_m", p.spreader_side_m);
+  f("spreader_thickness_m", p.spreader_thickness_m);
+  f("k_copper", p.k_copper);
+  f("c_copper", p.c_copper);
+  f("sink_side_m", p.sink_side_m);
+  f("sink_thickness_m", p.sink_thickness_m);
+  f("k_sink", p.k_sink);
+  f("c_sink", p.c_sink);
+  f("r_convec", p.r_convec);
+  f("ambient", p.ambient);
+}
 
 }  // namespace hydra::thermal

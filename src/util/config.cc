@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 namespace hydra::util {
@@ -74,8 +76,8 @@ Config Config::from_string(std::string_view text) {
 Config Config::from_args(const std::vector<std::string>& args) {
   Config cfg;
   for (const auto& arg : args) {
-    // GNU-style leading dashes are cosmetic: --trace=out.json and
-    // trace=out.json set the same key.
+    // GNU-style spelling is cosmetic: --trace-csv=out.csv and
+    // trace_csv=out.csv set the same key.
     std::string_view a = arg;
     while (!a.empty() && a.front() == '-') a.remove_prefix(1);
     const std::size_t eq = a.find('=');
@@ -83,8 +85,9 @@ Config Config::from_args(const std::vector<std::string>& args) {
       throw std::invalid_argument("expected key=value argument, got '" + arg +
                                   "'");
     }
-    cfg.set(std::string(trim(a.substr(0, eq))),
-            std::string(trim(a.substr(eq + 1))));
+    std::string key(trim(a.substr(0, eq)));
+    std::replace(key.begin(), key.end(), '-', '_');
+    cfg.set(std::move(key), std::string(trim(a.substr(eq + 1))));
   }
   return cfg;
 }
@@ -107,42 +110,6 @@ std::string Config::get_string(std::string_view key,
                                std::string fallback) const {
   const auto v = find(key);
   return v ? *v : std::move(fallback);
-}
-
-double Config::get_double(std::string_view key, double fallback) const {
-  const auto v = find(key);
-  if (!v) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(*v, &consumed);
-    if (consumed != v->size()) throw std::invalid_argument("trailing chars");
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + std::string(key) +
-                                "': cannot parse '" + *v + "' as double");
-  }
-}
-
-long long Config::get_int(std::string_view key, long long fallback) const {
-  const auto v = find(key);
-  if (!v) return fallback;
-  long long parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(v->data(), v->data() + v->size(), parsed);
-  if (ec != std::errc{} || ptr != v->data() + v->size()) {
-    throw std::invalid_argument("config key '" + std::string(key) +
-                                "': cannot parse '" + *v + "' as integer");
-  }
-  return parsed;
-}
-
-bool Config::get_bool(std::string_view key, bool fallback) const {
-  const auto v = find(key);
-  if (!v) return fallback;
-  if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
-  if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
-  throw std::invalid_argument("config key '" + std::string(key) +
-                              "': cannot parse '" + *v + "' as bool");
 }
 
 std::vector<std::string> Config::keys() const {
@@ -168,7 +135,9 @@ void Config::reject_unknown(const std::vector<std::string_view>& allowed,
     std::string_view best;
     std::size_t best_dist = key.size();
     for (const std::string_view cand : allowed) {
-      const std::size_t d = edit_distance(key, cand);
+      const std::string_view last = cand.substr(cand.rfind('.') + 1);
+      const std::size_t d =
+          std::min(edit_distance(key, cand), edit_distance(key, last));
       if (d < best_dist) {
         best_dist = d;
         best = cand;
@@ -179,6 +148,19 @@ void Config::reject_unknown(const std::vector<std::string_view>& allowed,
     }
     throw std::invalid_argument(msg);
   }
+}
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  const char* end = v + std::strlen(v);
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, parsed);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument(std::string(name) + ": cannot parse '" + v +
+                                "' as an unsigned integer");
+  }
+  return parsed;
 }
 
 }  // namespace hydra::util

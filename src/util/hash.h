@@ -2,18 +2,17 @@
 //
 // The experiment engine memoizes completed runs keyed by a content hash
 // of (workload profile, policy kind, policy parameters, SimConfig).
-// HashSink accumulates the fields of those structs explicitly — never
-// raw struct bytes, which would hash padding — so two logically equal
-// configurations always collide on the same key and two differing ones
-// practically never do (64-bit space, a handful of keys per process).
+// util::encode_fields feeds HashSink every field those structs'
+// visit_fields lists name (util/fields.h) — never raw struct bytes, which
+// would hash padding — so two logically equal configurations always
+// collide on the same key and two differing ones practically never do
+// (64-bit space, a handful of keys per process).
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-
-#include "util/units.h"
 
 namespace hydra::util {
 
@@ -36,15 +35,6 @@ class HashSink {
     if (v == 0.0) v = 0.0;
     return u64(std::bit_cast<std::uint64_t>(v));
   }
-
-  /// Dimensioned quantities hash as their raw value, so adopting strong
-  /// types in a config struct never changes its cache key.
-  template <class D>
-  HashSink& f64(Quantity<D> q) {
-    return f64(q.value());
-  }
-
-  HashSink& f64(Celsius c) { return f64(c.value()); }
 
   HashSink& boolean(bool v) {
     byte(v ? 1 : 0);

@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
-#include <cstdlib>
+#include <cstdint>
+
+#include "util/config.h"
 
 namespace hydra::util {
 
@@ -179,10 +181,8 @@ void ThreadPool::for_each_index(std::size_t n,
 }
 
 std::size_t ThreadPool::configured_width() {
-  if (const char* env = std::getenv("HYDRA_THREADS");
-      env != nullptr && *env != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::size_t>(v);
+  if (const std::uint64_t v = env_u64("HYDRA_THREADS", 0); v >= 1) {
+    return static_cast<std::size_t>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -77,7 +77,9 @@ class ThreadPool {
   /// (default: hardware_concurrency). Created on first use.
   static ThreadPool& global();
 
-  /// The width HYDRA_THREADS requests (>= 1), without creating the pool.
+  /// The width HYDRA_THREADS requests (>= 1), without creating the pool;
+  /// unset, empty or 0 means hardware_concurrency. Throws
+  /// std::invalid_argument when the variable is not an unsigned integer.
   static std::size_t configured_width();
 
   /// Process-wide hook run by each worker thread as it starts, with the

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "arch/isa.h"
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace hydra::workload {
@@ -30,6 +31,13 @@ struct PhaseSpec {
   /// (L1-resident) region.
   double mem_scale = 1.0;
 };
+
+template <util::FieldsOf<PhaseSpec> Self, class F>
+void visit_fields(Self& p, F&& f) {
+  f("length_instructions", p.length_instructions);
+  f("ilp_scale", p.ilp_scale);
+  f("mem_scale", p.mem_scale);
+}
 
 /// Statistical description of a benchmark.
 struct WorkloadProfile {
@@ -72,6 +80,29 @@ struct WorkloadProfile {
   /// Validate internal consistency; throws std::invalid_argument.
   void validate() const;
 };
+
+template <util::FieldsOf<WorkloadProfile> Self, class F>
+void visit_fields(Self& p, F&& f) {
+  f("name", p.name);
+  f("seed", p.seed);
+  f("frac_int_alu", p.frac_int_alu);
+  f("frac_int_mul", p.frac_int_mul);
+  f("frac_fp_add", p.frac_fp_add);
+  f("frac_fp_mul", p.frac_fp_mul);
+  f("frac_load", p.frac_load);
+  f("frac_store", p.frac_store);
+  f("frac_branch", p.frac_branch);
+  f("mean_dep_distance", p.mean_dep_distance);
+  f("max_dep_distance", p.max_dep_distance);
+  f("frac_two_src", p.frac_two_src);
+  f("hard_branch_fraction", p.hard_branch_fraction);
+  f("inst_footprint", p.inst_footprint);
+  f("data_hot_footprint", p.data_hot_footprint);
+  f("data_warm_footprint", p.data_warm_footprint);
+  f("warm_access_fraction", p.warm_access_fraction);
+  f("stream_access_fraction", p.stream_access_fraction);
+  f("phases", p.phases);
+}
 
 /// Deterministic trace source implementing the profile.
 class SyntheticTrace final : public arch::TraceSource {

@@ -1,7 +1,7 @@
 // Heap-allocation contracts. A global operator-new counter (the only one
 // in tests/) proves the hot paths reuse their storage once warm: the
 // observability record calls, the thermal step on each solver path, and
-// a repeated System::run().
+// a repeated System::run(), and the cache-key hash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +28,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// std::stable_sort's scratch buffer (a FaultCampaign sorts its events)
+// comes from the nothrow form. Without these, a sanitizer's own nothrow
+// new would pair with the std::free below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -183,6 +193,25 @@ TEST_F(AllocationFree, SecondSystemRun) {
   const std::uint64_t after = allocs();
   EXPECT_EQ(after - before, 0u);
   EXPECT_GE(second.instructions, cfg.run_instructions);
+}
+
+// Every submitted run hashes its whole point (profile, params, config
+// with a fault campaign) through the visitors; the walk must not
+// allocate.
+TEST_F(AllocationFree, RunPointKey) {
+  const workload::WorkloadProfile profile = workload::spec2000_profile("gzip");
+  sim::SimConfig cfg;
+  cfg.fault_campaign = fault::FaultCampaign(
+      {fault::FaultEvent{3, fault::FaultKind::kDrift, 0.0, 1.0, 2.0, 1.0}});
+  sim::PolicyParams params;
+  params.guarded = true;
+
+  const std::uint64_t before = allocs();
+  const std::uint64_t key =
+      sim::run_point_key(profile, sim::PolicyKind::kHybrid, params, cfg);
+  const std::uint64_t after = allocs();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_NE(key, 0u);
 }
 
 }  // namespace

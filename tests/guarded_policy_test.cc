@@ -13,6 +13,7 @@
 #include "fault/fault_campaign.h"
 #include "sim/experiment.h"
 #include "sim/system.h"
+#include "util/fields.h"
 
 namespace hydra {
 namespace {
@@ -330,12 +331,7 @@ TEST(GuardedSim, FaultRunsReplayDeterministically) {
       "FPMul spike 0.003 inf 25 0.2\n");
   const RunResult a = run_crafty(PolicyKind::kHybrid, cfg, true);
   const RunResult b = run_crafty(PolicyKind::kHybrid, cfg, true);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.faulted_samples, b.faulted_samples);
-  EXPECT_EQ(a.sensor_rejections, b.sensor_rejections);
-  EXPECT_DOUBLE_EQ(a.violation_fraction, b.violation_fraction);
-  EXPECT_DOUBLE_EQ(a.max_true_celsius, b.max_true_celsius);
-  EXPECT_DOUBLE_EQ(a.failsafe_fraction, b.failsafe_fraction);
+  EXPECT_EQ(util::diff_fields(a, b), "");
 }
 
 }  // namespace

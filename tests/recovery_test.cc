@@ -6,14 +6,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "obs/obs.h"
@@ -23,6 +28,7 @@
 #include "sim/system.h"
 #include "util/cancel.h"
 #include "util/config.h"
+#include "util/fields.h"
 #include "util/thread_pool.h"
 
 namespace hydra::sim {
@@ -237,8 +243,7 @@ TEST(SolverGuard, FusedFaultFallsBackToLuBitIdentically) {
   // The trip count is the one field the fault may change.
   RunResult expected = reference_result;
   expected.solver_guard_trips = faulted_result.solver_guard_trips;
-  EXPECT_EQ(serialize_run_result(faulted_result),
-            serialize_run_result(expected));
+  EXPECT_EQ(util::diff_fields(faulted_result, expected), "");
 }
 
 TEST(SolverGuard, HealthyFusedRunNeverTrips) {
@@ -287,6 +292,80 @@ TEST(PersistentCache, SerializationRoundTripsBitExactly) {
       std::string_view(payload).substr(0, payload.size() / 2), scratch));
   EXPECT_FALSE(deserialize_run_result(payload + "x", scratch));
   EXPECT_FALSE(deserialize_run_result("garbage", scratch));
+}
+
+// Seeded fuzz of the decoder behind every disk hit: a truncated,
+// extended or byte-flipped payload of a real result either fails to
+// decode or decodes to a result that re-encodes to exactly those bytes.
+TEST(FieldFuzz, MangledPayloadDecodesExactlyOrNotAtAll) {
+  const SimConfig cfg = short_config();
+  System system(workload::spec2000_profile("gzip"), cfg,
+                make_policy(PolicyKind::kHybrid, {}, cfg));
+  const std::string payload = serialize_run_result(system.run());
+  std::mt19937_64 rng(26);
+  int decoded = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string m = payload;
+    switch (i % 3) {
+      case 0:
+        m.resize(static_cast<std::size_t>(rng() % payload.size()));
+        break;
+      case 1:
+        m.append(1 + rng() % 16, static_cast<char>(rng()));
+        break;
+      default:
+        for (std::uint64_t flips = 1 + rng() % 4; flips > 0; --flips) {
+          m[rng() % m.size()] ^= static_cast<char>(1 + rng() % 255);
+        }
+    }
+    RunResult out;
+    if (deserialize_run_result(m, out)) {
+      ++decoded;
+      ASSERT_EQ(serialize_run_result(out), m) << "case " << i;
+    }
+  }
+  EXPECT_GT(decoded, 0);  // flips inside numbers decode to other values
+}
+
+// Seeded fuzz of hydra_run's key setter: every path either takes a
+// finite value or throws std::invalid_argument naming the path.
+TEST(FieldFuzz, SetterSetsAFiniteValueOrThrows) {
+  std::vector<std::string> paths = util::settable_paths<SimConfig>();
+  const std::vector<std::string> param_paths =
+      util::settable_paths<PolicyParams>();
+  paths.insert(paths.end(), param_paths.begin(), param_paths.end());
+  const char* values[] = {"-1", "nan", "inf",  "-inf", "1e999", "",
+                          "12x", " 3", "+3",  "0x10", "3.5",   "7",
+                          "1e3", "true", "-0", "1e-320",
+                          "18446744073709551616"};
+  std::mt19937_64 rng(26);
+  for (int i = 0; i < 4000; ++i) {
+    const std::string& path = paths[rng() % paths.size()];
+    std::string text = values[rng() % std::size(values)];
+    if (rng() % 4 == 0) text += static_cast<char>(' ' + rng() % 95);
+    SimConfig cfg;
+    PolicyParams params;
+    try {
+      ASSERT_TRUE(util::set_field(cfg, path, text) ||
+                  util::set_field(params, path, text))
+          << path;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+      continue;
+    }
+    const auto finite = [&path, &text](std::string_view p, const auto& v) {
+      if constexpr (util::kIsReal<std::remove_cvref_t<decltype(v)>>) {
+        EXPECT_TRUE(std::isfinite(util::real_value(v)))
+            << path << "=" << text << " left " << p << " non-finite";
+      }
+    };
+    util::for_each_leaf(cfg, finite);
+    util::for_each_leaf(params, finite);
+  }
+  SimConfig cfg;
+  EXPECT_FALSE(util::set_field(cfg, "no.such.path", "1"));
+  EXPECT_FALSE(util::set_field(cfg, "", "1"));
 }
 
 TEST(PersistentCache, SaveLoadAndMissAccounting) {
@@ -421,10 +500,8 @@ TEST(PersistentCache, WarmRestartServesEverythingFromDisk) {
   EXPECT_GT(stats.disk_hits, 0u);
   ASSERT_EQ(warm.size(), cold.size());
   for (std::size_t i = 0; i < warm.size(); ++i) {
-    EXPECT_EQ(serialize_run_result(warm[i].dtm),
-              serialize_run_result(cold[i].dtm));
-    EXPECT_EQ(serialize_run_result(warm[i].baseline),
-              serialize_run_result(cold[i].baseline));
+    EXPECT_EQ(util::diff_fields(warm[i].dtm, cold[i].dtm), "");
+    EXPECT_EQ(util::diff_fields(warm[i].baseline, cold[i].baseline), "");
     EXPECT_EQ(warm[i].slowdown, cold[i].slowdown);
   }
 }
@@ -508,10 +585,8 @@ TEST(PersistentCache, ChaosCorruptionIsQuarantinedAndRecomputed) {
   EXPECT_EQ(stats.computes, 2u);  // exactly the two damaged run entries
   ASSERT_EQ(restarted.size(), cold.size());
   for (std::size_t i = 0; i < restarted.size(); ++i) {
-    EXPECT_EQ(serialize_run_result(restarted[i].dtm),
-              serialize_run_result(cold[i].dtm));
-    EXPECT_EQ(serialize_run_result(restarted[i].baseline),
-              serialize_run_result(cold[i].baseline));
+    EXPECT_EQ(util::diff_fields(restarted[i].dtm, cold[i].dtm), "");
+    EXPECT_EQ(util::diff_fields(restarted[i].baseline, cold[i].baseline), "");
   }
 
   // Quarantined evidence is preserved, not deleted.
@@ -538,6 +613,20 @@ TEST(ConfigRejectUnknown, UnknownKeyDiagnosticCarriesFileLineAndSuggestion) {
     EXPECT_NE(what.find("benchmrk"), std::string::npos) << what;
     EXPECT_NE(what.find("did you mean 'benchmark'"), std::string::npos)
         << what;
+  }
+}
+
+// hydra_run's keys are dotted paths; a key that names only the last
+// component (the old short spelling) gets the full path suggested.
+TEST(ConfigRejectUnknown, SuggestionMatchesLastPathComponent) {
+  const util::Config cfg = util::Config::from_args({"cores=8"});
+  try {
+    cfg.reject_unknown({"benchmark", "core.rob_entries", "multicore.cores"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("did you mean 'multicore.cores'"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -586,6 +675,36 @@ TEST(ConfigRejectUnknown, MalformedRunLengthEnvironmentThrows) {
     }
   }
   EXPECT_NO_THROW((void)default_sim_config());
+}
+
+// The other two count variables get the same check: a pool width read
+// from `4x` or a cache cap read from `10GB` would be 4 threads or a
+// 10-byte store, and `abc` fell back to the default without a word.
+// hydra_run reads HYDRA_CACHE_MAX_BYTES through util::env_u64 (a
+// tools/ ctest covers that path end to end).
+TEST(ConfigRejectUnknown, MalformedCountEnvironmentThrows) {
+  for (const char* name : {"HYDRA_THREADS", "HYDRA_CACHE_MAX_BYTES"}) {
+    const EnvRestore restore(name);
+    for (const char* bad : {"4x", "10GB", "abc"}) {
+      setenv(name, bad, 1);
+      try {
+        if (std::string_view(name) == "HYDRA_THREADS") {
+          (void)util::ThreadPool::configured_width();
+        } else {
+          (void)util::env_u64(name, 1);
+        }
+        ADD_FAILURE() << name << "=" << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+    setenv(name, "3", 1);
+    EXPECT_EQ(util::env_u64(name, 1), 3u);
+  }
+  const EnvRestore restore("HYDRA_THREADS");
+  setenv("HYDRA_THREADS", "3", 1);
+  EXPECT_EQ(util::ThreadPool::configured_width(), 3u);
 }
 
 }  // namespace

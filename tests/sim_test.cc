@@ -5,6 +5,7 @@
 
 #include "sim/experiment.h"
 #include "sim/system.h"
+#include "util/fields.h"
 
 namespace hydra::sim {
 namespace {
@@ -57,9 +58,7 @@ TEST(System, BaselineDeterministic) {
   };
   const RunResult a = run_once();
   const RunResult b = run_once();
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_DOUBLE_EQ(a.max_true_celsius, b.max_true_celsius);
-  EXPECT_DOUBLE_EQ(a.wall_seconds, b.wall_seconds);
+  EXPECT_EQ(util::diff_fields(a, b), "");
 }
 
 TEST(System, FractionsAreWellFormed) {

@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "sim/experiment.h"
-#include "sim/persistent_cache.h"
 #include "sim/system.h"
 #include "thermal/simd.h"
+#include "util/fields.h"
 #include "workload/spec_profiles.h"
 
 namespace hydra {
@@ -161,7 +161,7 @@ TEST(SimdTwin, FullRunBitIdenticalScalarVsVector) {
       profile, cfg, sim::make_policy(sim::PolicyKind::kHybrid, {}, cfg));
   const sim::RunResult vec = vector_sys.run();
 
-  EXPECT_EQ(sim::serialize_run_result(scalar), sim::serialize_run_result(vec));
+  EXPECT_EQ(util::diff_fields(scalar, vec), "");
 }
 
 }  // namespace

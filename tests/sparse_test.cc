@@ -16,12 +16,12 @@
 #include "floorplan/multicore.h"
 #include "sim/experiment.h"
 #include "sim/multicore.h"
-#include "sim/persistent_cache.h"
 #include "sim/system.h"
 #include "thermal/model_builder.h"
 #include "thermal/rc_network.h"
 #include "thermal/solver.h"
 #include "thermal/sparse.h"
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace hydra {
@@ -357,10 +357,8 @@ TEST(SparseMulticore, BitIdenticalAcrossWorkerWidths) {
   const sim::MulticoreResult a = run_at_width(1);
   const sim::MulticoreResult b = run_at_width(4);
   const sim::MulticoreResult c = run_at_width(8);
-  EXPECT_EQ(sim::serialize_run_result(a.aggregate),
-            sim::serialize_run_result(b.aggregate));
-  EXPECT_EQ(sim::serialize_run_result(a.aggregate),
-            sim::serialize_run_result(c.aggregate));
+  EXPECT_EQ(util::diff_fields(a.aggregate, b.aggregate), "");
+  EXPECT_EQ(util::diff_fields(a.aggregate, c.aggregate), "");
   ASSERT_EQ(a.per_core.size(), b.per_core.size());
   for (std::size_t t = 0; t < a.per_core.size(); ++t) {
     EXPECT_EQ(a.per_core[t].cycles, b.per_core[t].cycles) << t;

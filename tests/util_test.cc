@@ -1,11 +1,14 @@
-// Unit tests for src/util: units, rng, stats, config, csv, table.
+// Unit tests for src/util: units, rng, stats, config, csv, table, json.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/config.h"
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -214,25 +217,28 @@ TEST(Histogram, ClampsOutOfRange) {
 // --------------------------------------------------------------- config
 TEST(Config, ParsesKeyValues) {
   const auto cfg = Config::from_string("a = 1\nb= hello # comment\n\n#x\n");
-  EXPECT_EQ(cfg.get_int("a", 0), 1);
+  EXPECT_EQ(cfg.get("a", 0), 1);
   EXPECT_EQ(cfg.get_string("b", ""), "hello");
   EXPECT_FALSE(cfg.contains("x"));
 }
 
 TEST(Config, TypedGettersAndFallbacks) {
   auto cfg = Config::from_string("d=2.5\nflag=true\nn=-7");
-  EXPECT_DOUBLE_EQ(cfg.get_double("d", 0.0), 2.5);
-  EXPECT_TRUE(cfg.get_bool("flag", false));
-  EXPECT_EQ(cfg.get_int("n", 0), -7);
-  EXPECT_DOUBLE_EQ(cfg.get_double("missing", 9.0), 9.0);
-  EXPECT_FALSE(cfg.get_bool("missing", false));
+  EXPECT_DOUBLE_EQ(cfg.get("d", 0.0), 2.5);
+  EXPECT_TRUE(cfg.get("flag", false));
+  EXPECT_EQ(cfg.get("n", 0), -7);
+  EXPECT_EQ(cfg.get("d", Seconds(0.0)), Seconds(2.5));
+  EXPECT_DOUBLE_EQ(cfg.get("missing", 9.0), 9.0);
+  EXPECT_FALSE(cfg.get("missing", false));
 }
 
 TEST(Config, MalformedValuesThrow) {
-  auto cfg = Config::from_string("d=abc\nb=maybe\nn=1.5");
-  EXPECT_THROW(cfg.get_double("d", 0.0), std::invalid_argument);
-  EXPECT_THROW(cfg.get_bool("b", false), std::invalid_argument);
-  EXPECT_THROW(cfg.get_int("n", 0), std::invalid_argument);
+  auto cfg = Config::from_string("d=abc\nb=maybe\nn=1.5\nu=-1\nx=nan");
+  EXPECT_THROW(cfg.get("d", 0.0), std::invalid_argument);
+  EXPECT_THROW(cfg.get("b", false), std::invalid_argument);
+  EXPECT_THROW(cfg.get("n", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get<unsigned>("u", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get("x", 0.0), std::invalid_argument);
 }
 
 TEST(Config, MalformedLinesThrow) {
@@ -244,11 +250,13 @@ TEST(Config, FromArgsAndMerge) {
   auto cfg = Config::from_args({"a=1", "b=2"});
   auto other = Config::from_args({"b=3", "c=4"});
   cfg.merge(other);
-  EXPECT_EQ(cfg.get_int("a", 0), 1);
-  EXPECT_EQ(cfg.get_int("b", 0), 3);
-  EXPECT_EQ(cfg.get_int("c", 0), 4);
+  EXPECT_EQ(cfg.get("a", 0), 1);
+  EXPECT_EQ(cfg.get("b", 0), 3);
+  EXPECT_EQ(cfg.get("c", 0), 4);
   EXPECT_EQ(cfg.keys().size(), 3u);
   EXPECT_THROW(Config::from_args({"bad"}), std::invalid_argument);
+  EXPECT_EQ(Config::from_args({"--trace-csv=x"}).get_string("trace_csv", ""),
+            "x");
 }
 
 // ------------------------------------------------------------------ csv
@@ -288,6 +296,58 @@ TEST(Table, AlignsColumns) {
 TEST(Table, NumberFormatting) {
   EXPECT_EQ(AsciiTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(AsciiTable::percent(0.256, 1), "25.6%");
+}
+
+// ------------------------------------------------------------------ json
+TEST(Json, ScalarsAndNesting) {
+  std::ostringstream out;
+  util::JsonWriter w(out, 0);
+  w.begin_object();
+  w.key("name").value("crafty");
+  w.key("slowdown").value(1.5);
+  w.key("count").value(42);
+  w.key("safe").value(true);
+  w.key("tags").begin_array();
+  w.value("a");
+  w.value("b");
+  w.end_array();
+  w.end_object();
+  const std::string s = out.str();
+  EXPECT_NE(s.find("\"name\": \"crafty\""), std::string::npos);
+  EXPECT_NE(s.find("\"slowdown\": 1.5"), std::string::npos);
+  EXPECT_NE(s.find("\"count\": 42"), std::string::npos);
+  EXPECT_NE(s.find("\"safe\": true"), std::string::npos);
+  EXPECT_NE(s.find("\"a\""), std::string::npos);
+}
+
+TEST(Json, EscapesSpecials) {
+  EXPECT_EQ(util::JsonWriter::escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(util::JsonWriter::escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(util::JsonWriter::escape("a\nb"), "a\\nb");
+  EXPECT_EQ(util::JsonWriter::escape(std::string("a\x01") + "b"),
+            "a\\u0001b");
+}
+
+TEST(Json, CommasBetweenSiblingsOnly) {
+  std::ostringstream out;
+  util::JsonWriter w(out, 0);
+  w.begin_array();
+  w.value(1.0);
+  w.value(2.0);
+  w.value(3.0);
+  w.end_array();
+  std::string s = out.str();
+  // Exactly two commas for three siblings.
+  EXPECT_EQ(std::count(s.begin(), s.end(), ','), 2);
+}
+
+TEST(Json, NonFiniteBecomesNull) {
+  std::ostringstream out;
+  util::JsonWriter w(out, 0);
+  w.begin_array();
+  w.value(std::numeric_limits<double>::infinity());
+  w.end_array();
+  EXPECT_NE(out.str().find("null"), std::string::npos);
 }
 
 }  // namespace
