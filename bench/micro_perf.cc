@@ -231,20 +231,6 @@ BENCHMARK(BM_DieStep)
     ->Args({64, 0})
     ->Args({64, 1});
 
-void BM_ThermalRk4Step(benchmark::State& state) {
-  const auto fp = floorplan::ev7_floorplan();
-  const auto model = thermal::build_thermal_model(fp, thermal::Package{});
-  thermal::TransientSolver solver(model.network, util::Celsius(45.0),
-                                  thermal::Scheme::kRk4);
-  thermal::Vector power(model.network.size(), 0.0);
-  for (std::size_t i = 0; i < model.num_blocks; ++i) power[i] = 1.5;
-  for (auto _ : state) {
-    solver.step(power, util::Seconds(3.3e-6));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ThermalRk4Step);
-
 void BM_SteadyStateSolve(benchmark::State& state) {
   const auto fp = floorplan::ev7_floorplan();
   const auto model = thermal::build_thermal_model(fp, thermal::Package{});

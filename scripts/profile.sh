@@ -13,6 +13,10 @@
 #   * cachegrind — valgrind instrumentation; slow but needs no kernel
 #                  support, also yields cache-miss counts.
 #   * gprof      — -pg instrumented build; always available with gcc.
+#                  Linked -static so libm is instrumented too: dynamically
+#                  linked, gprof never samples shared libraries, and the
+#                  trace's log1p time drops out of the table. Falls back
+#                  to a dynamic link (with a warning) if -static fails.
 #
 # Usage: scripts/profile.sh [benchmark] [policy]
 #        scripts/profile.sh --bench <target> [benchmark-args...]
@@ -75,10 +79,12 @@ mkdir -p "$OUT_DIR"
 HOTSPOTS="$OUT_DIR/hotspots.txt"
 
 build() {
-  # $1 = build dir, $2 = extra CXX flags.
+  # $1 = build dir, $2 = extra CXX flags, $3 = extra linker flags.
+  # Chained with && so a failure returns nonzero even where `set -e`
+  # does not apply (the gprof branch tests the result with `if !`).
   cmake -B "$1" -S . -DCMAKE_BUILD_TYPE=Release \
-    -DCMAKE_CXX_FLAGS="$2" >/dev/null
-  cmake --build "$1" -j "$(nproc)" --target "$TARGET" >/dev/null
+    -DCMAKE_CXX_FLAGS="$2" -DCMAKE_EXE_LINKER_FLAGS="${3:-}" >/dev/null &&
+    cmake --build "$1" -j "$(nproc)" --target "$TARGET" >/dev/null
 }
 
 # The built binary's path inside a build tree (hydra_run lives under
@@ -93,6 +99,7 @@ header() {
     echo "  profiler:  $1"
     echo "  workload:  $WORKLOAD"
     echo "  host:      $(uname -sr), $(nproc) cpus"
+    if [ -n "${2:-}" ]; then echo "  note:      $2"; fi
     echo
   } > "$HOTSPOTS"
 }
@@ -140,11 +147,19 @@ elif command -v valgrind >/dev/null 2>&1; then
   fi
 elif command -v gprof >/dev/null 2>&1; then
   echo "== profiling with gprof =="
-  build build-profile-pg "-fno-omit-frame-pointer -g -pg"
+  PG_FLAGS="-fno-omit-frame-pointer -g -pg"
+  LINK=static
+  if ! build build-profile-pg "$PG_FLAGS" -static 2>/dev/null; then
+    echo "profile.sh: warning: -static link failed; linking dynamically," \
+      "so time in libm (the trace's log1p) is missing from the table" >&2
+    LINK=dynamic
+    build build-profile-pg "$PG_FLAGS" ""
+  fi
   BIN="$(bin_path build-profile-pg)"
   # gmon.out lands in the working directory of the profiled process.
   (cd "$OUT_DIR" && "$REPO_ROOT/$BIN" $run_args >/dev/null)
-  header gprof
+  header "gprof ($LINK link)" "gprof adds its per-call mcount cost to \
+each instrumented function, which inflates small, often-called ones"
   gprof -b -p "$BIN" "$OUT_DIR/gmon.out" >> "$HOTSPOTS"
 else
   echo "profile.sh: no profiler found (tried perf, valgrind, gprof)" >&2

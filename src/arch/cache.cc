@@ -39,7 +39,7 @@ bool Cache::access(std::uint64_t addr) {
   Way* ways = &store_[set * ways_];
   ++stamp_;
   for (std::size_t w = 0; w < ways_; ++w) {
-    if (ways[w].valid && ways[w].tag == tag) {
+    if (ways[w].lru != 0 && ways[w].tag == tag) {
       ways[w].lru = stamp_;
       ++hits_;
       return true;
@@ -48,13 +48,13 @@ bool Cache::access(std::uint64_t addr) {
   // Miss: fill the LRU (or first invalid) way.
   std::size_t victim = 0;
   for (std::size_t w = 0; w < ways_; ++w) {
-    if (!ways[w].valid) {
+    if (ways[w].lru == 0) {
       victim = w;
       break;
     }
     if (ways[w].lru < ways[victim].lru) victim = w;
   }
-  ways[victim] = {tag, stamp_, true};
+  ways[victim] = {tag, stamp_};
   ++misses_;
   return false;
 }
@@ -64,7 +64,7 @@ bool Cache::probe(std::uint64_t addr) const {
   const std::uint64_t tag = tag_of(addr);
   const Way* ways = &store_[set * ways_];
   for (std::size_t w = 0; w < ways_; ++w) {
-    if (ways[w].valid && ways[w].tag == tag) return true;
+    if (ways[w].lru != 0 && ways[w].tag == tag) return true;
   }
   return false;
 }

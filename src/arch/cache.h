@@ -46,11 +46,14 @@ class Cache {
   void reset_stats() { hits_ = misses_ = 0; }
 
  private:
+  /// 16 bytes: validity is folded into the stamp. Stamps are
+  /// pre-incremented, so every filled way has lru >= 1 and lru == 0
+  /// marks an empty way.
   struct Way {
     std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< last-access stamp
-    bool valid = false;
+    std::uint64_t lru = 0;  ///< last-access stamp; 0 = invalid
   };
+  static_assert(sizeof(Way) == 16);
 
   std::size_t set_index(std::uint64_t addr) const;
   std::uint64_t tag_of(std::uint64_t addr) const;

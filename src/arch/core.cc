@@ -15,7 +15,6 @@ Core::Core(const CoreConfig& cfg, TraceSource& trace)
     : cfg_(cfg),
       trace_(&trace),
       bpred_(cfg.bpred_index_bits, cfg.bpred_history_bits),
-      tournament_(cfg.tournament),
       icache_(cfg.icache),
       dcache_(cfg.dcache),
       l2_(cfg.l2),
@@ -25,6 +24,9 @@ Core::Core(const CoreConfig& cfg, TraceSource& trace)
       cfg_.rename_width <= 0 || cfg_.issue_width <= 0 ||
       cfg_.commit_width <= 0 || cfg_.frontend_entries <= 0) {
     throw std::invalid_argument("core widths/capacities must be positive");
+  }
+  if (cfg_.predictor == CoreConfig::Predictor::kTournament) {
+    tournament_.emplace(cfg_.tournament);
   }
   rob_.resize(static_cast<std::size_t>(cfg_.rob_entries));
   slot_state_.assign(rob_.size(), kSlotIssued);
@@ -50,14 +52,12 @@ void Core::set_issue_gate_fraction(double g) {
 }
 
 bool Core::predict_branch(std::uint64_t pc) {
-  return cfg_.predictor == CoreConfig::Predictor::kTournament
-             ? tournament_.predict(pc)
-             : bpred_.predict(pc);
+  return tournament_ ? tournament_->predict(pc) : bpred_.predict(pc);
 }
 
 void Core::update_predictor(std::uint64_t pc, bool taken) {
-  if (cfg_.predictor == CoreConfig::Predictor::kTournament) {
-    tournament_.update(pc, taken);
+  if (tournament_) {
+    tournament_->update(pc, taken);
   } else {
     bpred_.update(pc, taken);
   }

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "arch/activity.h"
@@ -172,7 +173,9 @@ class Core {
   CoreConfig cfg_;
   TraceSource* trace_;
   GsharePredictor bpred_;
-  TournamentPredictor tournament_;
+  /// Built only when cfg_.predictor == kTournament: its tables (~24 KiB
+  /// at the default geometry) are dead weight under gshare.
+  std::optional<TournamentPredictor> tournament_;
   Cache icache_;
   Cache dcache_;
   Cache l2_;

@@ -18,7 +18,7 @@ bool Tlb::access(std::uint64_t addr) {
   const std::uint64_t vpn = addr >> page_shift_;
   ++stamp_;
   for (Entry& e : entries_) {
-    if (e.valid && e.vpn == vpn) {
+    if (e.lru != 0 && e.vpn == vpn) {
       e.lru = stamp_;
       ++hits_;
       return true;
@@ -27,13 +27,13 @@ bool Tlb::access(std::uint64_t addr) {
   // Miss: fill the first invalid entry, else the least recently used.
   Entry* victim = nullptr;
   for (Entry& e : entries_) {
-    if (!e.valid) {
+    if (e.lru == 0) {
       victim = &e;
       break;
     }
     if (victim == nullptr || e.lru < victim->lru) victim = &e;
   }
-  *victim = {vpn, stamp_, true};
+  *victim = {vpn, stamp_};
   ++misses_;
   return false;
 }

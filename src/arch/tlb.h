@@ -20,11 +20,13 @@ class Tlb {
   std::uint64_t misses() const { return misses_; }
 
  private:
+  /// 16 bytes: lru == 0 marks an empty entry (stamps are
+  /// pre-incremented, so a filled entry's is >= 1).
   struct Entry {
     std::uint64_t vpn = 0;
     std::uint64_t lru = 0;
-    bool valid = false;
   };
+  static_assert(sizeof(Entry) == 16);
 
   int page_shift_;
   std::vector<Entry> entries_;

@@ -49,8 +49,9 @@ class RcNetwork {
   /// list without ever materialising the dense matrix. Rows are sorted
   /// by column with parallel edges accumulated; every node gets a
   /// diagonal entry (its ambient tie plus incident edge conductances).
-  /// Entry-for-entry equal to conductance_matrix() — sparse_test
-  /// asserts it.
+  /// Entry-for-entry equal to conductance_matrix() within 4 ulps —
+  /// sparse_test asserts it. Not bit for bit: each diagonal starts from
+  /// its ambient tie here, where the dense assembly adds the tie last.
   CsrMatrix conductance_csr() const;
 
   /// Total conductance to ambient — for conservation checks.

@@ -49,12 +49,14 @@ void steady_state_into(const SparseCholesky& g_chol, const Vector& power,
 }
 
 LuCache::LuCache(const RcNetwork& net)
-    : g_(net.conductance_matrix()),
-      g_csr_(net.conductance_csr()),
-      capacitance_(net.size()) {
-  for (std::size_t i = 0; i < capacitance_.size(); ++i) {
-    capacitance_[i] = net.capacitance(i).value();
+    : net_(&net), g_csr_(net.conductance_csr()) {}
+
+Matrix LuCache::backward_euler_matrix(double dt) const {
+  Matrix a = net_->conductance_matrix();
+  for (std::size_t i = 0; i < net_->size(); ++i) {
+    a(i, i) += net_->capacitance(i).value() / dt;
   }
+  return a;
 }
 
 const LuFactorization& LuCache::steady() const {
@@ -65,7 +67,8 @@ const LuFactorization& LuCache::steady() const {
     factorizations.add();
     const obs::ScopedSpan span(obs::tracer(), "thermal", "lu_factorize",
                                "steady");
-    steady_lu_ = std::make_unique<LuFactorization>(g_);
+    steady_lu_ =
+        std::make_unique<LuFactorization>(net_->conductance_matrix());
   }
   return *steady_lu_;
 }
@@ -79,12 +82,9 @@ const LuFactorization& LuCache::backward_euler(double dt) const {
     factorizations.add();
     const obs::ScopedSpan span(obs::tracer(), "thermal", "lu_factorize",
                                "backward_euler");
-    Matrix a = g_;
-    for (std::size_t i = 0; i < capacitance_.size(); ++i) {
-      a(i, i) += capacitance_[i] / dt;
-    }
     it = be_cache_
-             .emplace(dt, std::make_unique<LuFactorization>(std::move(a)))
+             .emplace(dt, std::make_unique<LuFactorization>(
+                              backward_euler_matrix(dt)))
              .first;
   }
   return *it->second;
@@ -99,10 +99,8 @@ const FusedStepOperator& LuCache::fused(double dt) const {
     builds.add();
     const obs::ScopedSpan span(obs::tracer(), "thermal", "lu_factorize",
                                "fused_be");
-    const std::size_t n = capacitance_.size();
-    Matrix a = g_;
-    for (std::size_t i = 0; i < n; ++i) a(i, i) += capacitance_[i] / dt;
-    const LuFactorization lu(std::move(a));
+    const std::size_t n = net_->size();
+    const LuFactorization lu(backward_euler_matrix(dt));
     auto op = std::make_unique<FusedStepOperator>();
     op->m = Matrix(n, n);
     op->n = Matrix(n, n);
@@ -114,7 +112,7 @@ const FusedStepOperator& LuCache::fused(double dt) const {
       basis[j] = 1.0;
       lu.solve_into(basis, col);
       basis[j] = 0.0;
-      const double c_over_dt = capacitance_[j] / dt;
+      const double c_over_dt = net_->capacitance(j).value() / dt;
       for (std::size_t i = 0; i < n; ++i) {
         op->n(i, j) = col[i];
         op->m(i, j) = col[i] * c_over_dt;
@@ -136,13 +134,13 @@ const SparseStepOperator& LuCache::sparse(double dt) const {
     builds.add();
     const obs::ScopedSpan span(obs::tracer(), "thermal", "sparse_factorize",
                                "sparse_be");
-    const std::size_t n = capacitance_.size();
+    const std::size_t n = net_->size();
     // Assemble C/dt + G directly in CSR: copy the G structure and add
     // the capacitive term on the (always present) diagonal entries.
     CsrMatrix a = g_csr_;
     Vector c_over_dt(n);
     for (std::size_t i = 0; i < n; ++i) {
-      c_over_dt[i] = capacitance_[i] / dt;
+      c_over_dt[i] = net_->capacitance(i).value() / dt;
       for (std::size_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
         if (static_cast<std::size_t>(a.col_idx[p]) == i) {
           a.values[p] += c_over_dt[i];
@@ -177,18 +175,12 @@ TransientSolver::TransientSolver(const RcNetwork& net, util::Celsius ambient,
     : net_(&net),
       ambient_(ambient.value()),
       scheme_(scheme),
-      g_(net.conductance_matrix()),
       celsius_(net.size(), ambient.value()),
       lu_cache_(lu_cache ? std::move(lu_cache)
                          : std::make_shared<const LuCache>(net)),
       rhs_(net.size()),
       rise_(net.size()),
-      k1_(net.size()),
-      k2_(net.size()),
-      k3_(net.size()),
-      k4_(net.size()),
       tmp_(net.size()),
-      flow_(net.size()),
       rise_pad_(simd::padded_size(net.size()), 0.0),
       pow_pad_(simd::padded_size(net.size()), 0.0),
       chol_work_(net.size()) {
@@ -235,9 +227,6 @@ void TransientSolver::step(const Vector& power, util::Seconds dt) {
       } else {
         step_fused_be(power, dt.value());
       }
-      break;
-    case Scheme::kRk4:
-      step_rk4(power, dt.value());
       break;
   }
 }
@@ -380,34 +369,6 @@ void TransientSolver::step_sparse_be(const Vector& power, double dt) {
       obs::metrics().counter("thermal.fused_guard_trips");
   guard_trips.add();
   step_backward_euler(power, dt_in);
-}
-
-void TransientSolver::derivative_into(const Vector& rise, const Vector& power,
-                                      Vector& d) {
-  const std::size_t n = net_->size();
-  g_.multiply_into(rise, flow_);
-  d.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    d[i] = (power[i] - flow_[i]) / net_->capacitance(i).value();
-  }
-}
-
-void TransientSolver::step_rk4(const Vector& power, double dt) {
-  const std::size_t n = net_->size();
-  for (std::size_t i = 0; i < n; ++i) rise_[i] = celsius_[i] - ambient_;
-
-  derivative_into(rise_, power, k1_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = rise_[i] + dt / 2.0 * k1_[i];
-  derivative_into(tmp_, power, k2_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = rise_[i] + dt / 2.0 * k2_[i];
-  derivative_into(tmp_, power, k3_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = rise_[i] + dt * k3_[i];
-  derivative_into(tmp_, power, k4_);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    rise_[i] += dt / 6.0 * (k1_[i] + 2.0 * k2_[i] + 2.0 * k3_[i] + k4_[i]);
-    celsius_[i] = ambient_ + rise_[i];
-  }
 }
 
 }  // namespace hydra::thermal

@@ -41,13 +41,14 @@ void steady_state_into(const LuFactorization& g_lu, const Vector& power,
 void steady_state_into(const SparseCholesky& g_chol, const Vector& power,
                        util::Celsius ambient, Vector& out, Vector& work);
 
-/// Integration scheme for the transient solver.
+/// Integration scheme for the transient solver. Both are backward
+/// Euler; the explicit RK4 they are cross-validated against is a test
+/// helper (tests/rk4_reference.h).
 enum class Scheme {
   kBackwardEuler,  ///< unconditionally stable; LU cached per time step
   kFusedBE,        ///< backward Euler via a precomputed step operator:
                    ///< two contiguous matvecs per step instead of a
                    ///< pivoted forward/back substitution
-  kRk4,            ///< explicit 4th-order; used for cross-validation
 };
 
 /// Precomputed backward-Euler step operator for one (rounded) dt. The
@@ -106,13 +107,22 @@ inline constexpr double kMaxPlausibleRise = 1.0e6;
 /// time_scale) — solving against a factorisation (or multiplying by a
 /// fused operator) is read-only, so concurrent solvers are safe; only
 /// the first builder of a given dt pays the construction cost.
+///
+/// The cache holds no dense G: each dense build assembles one from the
+/// network (RcNetwork::conductance_matrix) and keeps only the result,
+/// so a sparse-path model never forms an n^2 matrix at all. It does
+/// not densify the CSR copy: that assembly sums each diagonal in a
+/// different order, and the dense factors must stay bit-identical.
 class LuCache {
  public:
+  /// `net` must outlive the cache; its conductances and capacitances
+  /// must not change after construction.
   explicit LuCache(const RcNetwork& net);
 
-  std::size_t size() const { return capacitance_.size(); }
+  std::size_t size() const { return net_->size(); }
 
-  /// Factorisation of G for steady-state solves.
+  /// Factorisation of G for steady-state solves (the dense path's;
+  /// the sparse path solves against steady_sparse()).
   const LuFactorization& steady() const;
 
   /// Factorisation of (C/dt + G) for the given *already rounded* dt
@@ -139,9 +149,11 @@ class LuCache {
   const CsrMatrix& conductance_csr() const { return g_csr_; }
 
  private:
-  Matrix g_;
+  /// Dense C/dt + G, assembled afresh for one backward-Euler build.
+  Matrix backward_euler_matrix(double dt) const;
+
+  const RcNetwork* net_;
   CsrMatrix g_csr_;
-  Vector capacitance_;
   /// Guards lazy construction only: the returned factorisations and
   /// operators are immutable once built, so callers solve against the
   /// references lock-free.
@@ -210,13 +222,10 @@ class TransientSolver {
   void step_backward_euler(const Vector& power, double dt);
   void step_fused_be(const Vector& power, double dt);
   void step_sparse_be(const Vector& power, double dt);
-  void step_rk4(const Vector& power, double dt);
-  void derivative_into(const Vector& rise, const Vector& power, Vector& d);
 
   const RcNetwork* net_;
   double ambient_;
   Scheme scheme_;
-  Matrix g_;
   Vector celsius_;
   std::shared_ptr<const LuCache> lu_cache_;
   // Last-used factorisation memo: the common case is a constant dt, so
@@ -238,7 +247,7 @@ class TransientSolver {
   // Preallocated scratch so the per-step hot path never allocates.
   Vector rhs_;
   Vector rise_;
-  Vector k1_, k2_, k3_, k4_, tmp_, flow_;
+  Vector tmp_;
   // Padded inputs for the packed fused-BE kernels: sized to the packed
   // stride with the tail zeroed once, so the SIMD inner loop never
   // needs a tail pass (padding terms are exact fma no-ops).

@@ -27,6 +27,31 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
+/// How many of `key`'s '_'/'.'-separated words also occur among
+/// `path`'s: the fallback hint when no spelling is close.
+std::size_t shared_words(std::string_view key, std::string_view path) {
+  const auto words = [](std::string_view s) {
+    std::vector<std::string_view> out;
+    std::size_t start = 0;
+    for (std::size_t i = 0; i <= s.size(); ++i) {
+      if (i == s.size() || s[i] == '_' || s[i] == '.') {
+        if (i > start) out.push_back(s.substr(start, i - start));
+        start = i + 1;
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string_view> path_words = words(path);
+  std::size_t shared = 0;
+  for (const std::string_view w : words(key)) {
+    if (std::find(path_words.begin(), path_words.end(), w) !=
+        path_words.end()) {
+      ++shared;
+    }
+  }
+  return shared;
+}
+
 std::string_view trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
     s.remove_prefix(1);
@@ -143,9 +168,35 @@ void Config::reject_unknown(const std::vector<std::string_view>& allowed,
         best = cand;
       }
     }
+    std::vector<std::string_view> hints;
     if (!best.empty() && best_dist <= 3) {
-      msg += " (did you mean '" + std::string(best) + "'?)";
+      hints.push_back(best);
+    } else {
+      // No close spelling (a retired short key such as power_budget):
+      // name the paths sharing the most words with the key, the
+      // shallowest among equals (hybrid.crossover_margin, not its
+      // proactive.hybrid twin), and list ties.
+      std::size_t most = 0;
+      std::size_t shallowest = 0;
+      for (const std::string_view cand : allowed) {
+        const std::size_t shared = shared_words(key, cand);
+        const auto depth = static_cast<std::size_t>(
+            std::count(cand.begin(), cand.end(), '.'));
+        if (shared == 0 || shared < most ||
+            (shared == most && depth > shallowest)) {
+          continue;
+        }
+        if (shared > most || depth < shallowest) hints.clear();
+        most = shared;
+        shallowest = depth;
+        hints.push_back(cand);
+      }
     }
+    for (std::size_t i = 0; i < hints.size(); ++i) {
+      msg += i == 0 ? " (did you mean '" : "' or '";
+      msg += hints[i];
+    }
+    if (!hints.empty()) msg += "'?)";
     throw std::invalid_argument(msg);
   }
 }

@@ -101,9 +101,11 @@ class Config {
   /// config holds a key outside `allowed`. The message is a one-line
   /// diagnostic carrying the caller's file:line and the offending key
   /// (plus the closest allowed spelling, also matched against the last
-  /// component of a dotted key, so `cores` suggests `multicore.cores`),
-  /// so tools exit with an actionable error instead of silently
-  /// ignoring a misspelt flag.
+  /// component of a dotted key, so `cores` suggests `multicore.cores`;
+  /// failing that, the shallowest keys sharing the most words split at
+  /// '_' and '.', so `power_budget` suggests
+  /// `multicore.arbiter.die_budget`), so tools exit with an actionable
+  /// error instead of silently ignoring a misspelt flag.
   void reject_unknown(
       const std::vector<std::string_view>& allowed,
       std::source_location where = std::source_location::current()) const;

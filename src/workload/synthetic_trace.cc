@@ -167,7 +167,6 @@ MicroOp SyntheticTrace::next() {
     op.mem_addr = pick_data_address(ph.mem_scale);
   }
 
-  ++count_;
   advance_phase();
   return op;
 }

@@ -111,7 +111,6 @@ class SyntheticTrace final : public arch::TraceSource {
 
   arch::MicroOp next() override;
 
-  std::uint64_t generated() const { return count_; }
   /// Index of the phase the next instruction belongs to.
   std::size_t current_phase() const { return phase_index_; }
 
@@ -122,7 +121,6 @@ class SyntheticTrace final : public arch::TraceSource {
 
   WorkloadProfile profile_;
   util::Rng rng_;
-  std::uint64_t count_ = 0;
   std::size_t phase_index_ = 0;
   std::uint64_t phase_remaining_ = 0;
   std::uint64_t pc_;

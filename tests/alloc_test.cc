@@ -1,7 +1,8 @@
 // Heap-allocation contracts. A global operator-new counter (the only one
 // in tests/) proves the hot paths reuse their storage once warm: the
 // observability record calls, the thermal step on each solver path, and
-// a repeated System::run(), and the cache-key hash.
+// a repeated System::run(), and the cache-key hash. It also sums the
+// bytes requested, which bounds what building a system costs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,17 +14,21 @@
 #include "obs/obs.h"
 #include "sim/experiment.h"
 #include "sim/model_cache.h"
+#include "sim/multicore.h"
 #include "sim/system.h"
 #include "thermal/solver.h"
 #include "thermal/sparse.h"
 #include "workload/spec_profiles.h"
 
 // Global allocation counter so the hot-path tests can assert record
-// calls never allocate (the layer's core contract).
+// calls never allocate (the layer's core contract), and a byte total
+// for the footprint tests.
 static std::atomic<std::uint64_t> g_heap_allocs{0};
+static std::atomic<std::uint64_t> g_heap_bytes{0};
 
 void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -33,6 +38,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 // new would pair with the std::free below.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
@@ -47,6 +53,11 @@ namespace {
 
 std::uint64_t allocs() {
   return g_heap_allocs.load(std::memory_order_relaxed);
+}
+
+/// Bytes requested from operator new so far (frees are not netted out).
+std::uint64_t allocated_bytes() {
+  return g_heap_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -212,6 +223,67 @@ TEST_F(AllocationFree, RunPointKey) {
   const std::uint64_t after = allocs();
   EXPECT_EQ(after - before, 0u);
   EXPECT_NE(key, 0u);
+}
+
+// Footprints: a run holds only what it steps with. Each bound fails if
+// cache ways grow past 16 bytes, a gshare core builds tournament tables,
+// or a sparse-path model forms a dense G.
+class Footprint : public AllocationFree {};
+
+constexpr std::uint64_t kKiB = 1024;
+
+// Per tile of a 64-core die whose model is already cached: the tile's
+// core (4 MiB L2's tag store, 512 KiB), sensors, trace and scratch, plus
+// a 1/64 share of the solver. A dense 1162-node G (10.3 MiB) in the
+// solver alone would add 165 KiB a tile.
+TEST_F(Footprint, SixtyFourCoreDiePerTile) {
+  sim::SimConfig cfg = sim::default_sim_config();
+  cfg.multicore.cores = 64;
+  cfg.multicore.threads = 1;
+  (void)sim::ModelCache::global().get(cfg);
+
+  const std::uint64_t before = allocated_bytes();
+  const sim::MulticoreSystem system(workload::spec2000_profile("crafty"),
+                                    cfg, nullptr);
+  const std::uint64_t per_tile = (allocated_bytes() - before) / 64;
+  EXPECT_LT(per_tile, 640 * kKiB) << per_tile / kKiB << " KiB per tile";
+}
+
+// Building the 64-core die's model afresh and taking one sparse
+// step forms no dense n x n matrix: the whole cost is below half of one.
+TEST_F(Footprint, SparseDieModelFormsNoDenseMatrix) {
+  sim::SimConfig cfg = sim::default_sim_config();
+  cfg.multicore.cores = 64;
+  sim::ModelCache models;
+
+  const std::uint64_t before = allocated_bytes();
+  const auto shared = models.get(cfg);
+  const std::size_t n = shared->model.network.size();
+  thermal::TransientSolver solver(shared->model.network, cfg.package.ambient,
+                                  thermal::Scheme::kFusedBE,
+                                  shared->lu_cache);
+  const thermal::Vector power = shared->model.expand_power(
+      thermal::Vector(shared->model.num_blocks, 2.0 / 64.0));
+  solver.initialize_steady_state(power);
+  solver.step(power, util::Seconds(1e-4));
+  const std::uint64_t bytes = allocated_bytes() - before;
+
+  EXPECT_EQ(n, 1162u);
+  EXPECT_TRUE(solver.sparse_path());
+  EXPECT_LT(bytes, n * n * sizeof(double) / 2) << bytes / kKiB << " KiB";
+}
+
+// A single-core System with its model cached: the core (L2 tag store
+// 512 KiB, L1s 16 KiB each, no tournament tables under gshare), trace,
+// sensors, power model and the 28-node solver.
+TEST_F(Footprint, SingleCoreSystem) {
+  const sim::SimConfig cfg = sim::default_sim_config();
+  (void)sim::ModelCache::global().get(cfg);
+
+  const std::uint64_t before = allocated_bytes();
+  const sim::System system(workload::spec2000_profile("gzip"), cfg, nullptr);
+  const std::uint64_t bytes = allocated_bytes() - before;
+  EXPECT_LT(bytes, 640 * kKiB) << bytes / kKiB << " KiB";
 }
 
 }  // namespace

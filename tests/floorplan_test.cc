@@ -1,9 +1,8 @@
-// Unit tests for src/floorplan: geometry, adjacency, EV7 factory, I/O.
+// Unit tests for src/floorplan: geometry, adjacency, EV7 factory.
 #include <gtest/gtest.h>
 
 #include "floorplan/ev7.h"
 #include "floorplan/floorplan.h"
-#include "floorplan/floorplan_io.h"
 
 namespace hydra::floorplan {
 namespace {
@@ -140,59 +139,6 @@ TEST(Ev7, CoreBlocksAreConnected) {
   }
   for (std::size_t i = 0; i < fp.size(); ++i) {
     EXPECT_GT(degree[i], 0) << fp.block(i).name;
-  }
-}
-
-// ------------------------------------------------------------------- io
-TEST(FlpIo, RoundTrip) {
-  const Floorplan fp = ev7_floorplan();
-  const std::string text = to_flp(fp);
-  const Floorplan back = from_flp(text);
-  ASSERT_EQ(back.size(), fp.size());
-  for (std::size_t i = 0; i < fp.size(); ++i) {
-    EXPECT_EQ(back.block(i).name, fp.block(i).name);
-    EXPECT_DOUBLE_EQ(back.block(i).x, fp.block(i).x);
-    EXPECT_DOUBLE_EQ(back.block(i).y, fp.block(i).y);
-    EXPECT_DOUBLE_EQ(back.block(i).width, fp.block(i).width);
-    EXPECT_DOUBLE_EQ(back.block(i).height, fp.block(i).height);
-  }
-}
-
-TEST(FlpIo, ParsesCommentsAndBlanks) {
-  const Floorplan fp = from_flp("# comment\n\nblk 0.001 0.002 0 0\n");
-  ASSERT_EQ(fp.size(), 1u);
-  EXPECT_EQ(fp.block(0).name, "blk");
-  EXPECT_DOUBLE_EQ(fp.block(0).height, 0.002);
-}
-
-TEST(FlpIo, RejectsMalformed) {
-  EXPECT_THROW(from_flp("blk 0.001 0.002 0\n"), std::invalid_argument);
-  EXPECT_THROW(from_flp("blk 0.001 0.002 0 0 extra\n"),
-               std::invalid_argument);
-}
-
-TEST(FlpIo, RejectsNonFiniteGeometryWithLineContext) {
-  // Whether operator>> rejects "nan" itself (libstdc++) or parses it
-  // (other stdlibs, caught by the isfinite guard), the loader must throw
-  // and name the offending line.
-  const char* text = "a 0.001 0.002 0 0\nb nan 0.002 0.001 0\n";
-  try {
-    from_flp(text);
-    FAIL() << "expected non-finite geometry error";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("flp line 2"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_THROW(from_flp("a inf 0.002 0 0\n"), std::invalid_argument);
-}
-
-TEST(FlpIo, BadGeometryErrorsCarryLineContext) {
-  try {
-    from_flp("a 0.001 0.002 0 0\nb -0.001 0.002 0.001 0\n");
-    FAIL() << "expected bad-geometry error";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("flp line 2"), std::string::npos)
-        << e.what();
   }
 }
 

@@ -16,6 +16,8 @@
 #include "workload/spec_profiles.h"
 #include "arch/core.h"
 
+#include "rk4_reference.h"
+
 namespace hydra {
 namespace {
 
@@ -99,7 +101,7 @@ TEST_P(RandomNetworkSweep, BackwardEulerAgreesWithRk4) {
 
   thermal::TransientSolver be(net, util::Celsius(45.0),
                               thermal::Scheme::kBackwardEuler);
-  thermal::TransientSolver rk(net, util::Celsius(45.0), thermal::Scheme::kRk4);
+  thermal::Rk4Reference rk(net, util::Celsius(45.0));
   for (int i = 0; i < 3000; ++i) {
     be.step(p, util::Seconds(0.002));
     rk.step(p, util::Seconds(0.002));

@@ -630,6 +630,45 @@ TEST(ConfigRejectUnknown, SuggestionMatchesLastPathComponent) {
   }
 }
 
+// A retired short key with no close spelling names the shallowest
+// paths sharing the most words with it, ties listed; a key sharing no
+// word gets no hint. The allowed set is hydra_run's field paths.
+TEST(ConfigRejectUnknown, SuggestionSharesTheMostWords) {
+  std::vector<std::string> paths = util::settable_paths<sim::SimConfig>();
+  const std::vector<std::string> params =
+      util::settable_paths<sim::PolicyParams>();
+  paths.insert(paths.end(), params.begin(), params.end());
+  const std::vector<std::string_view> allowed(paths.begin(), paths.end());
+  const auto diagnostic = [&allowed](const std::string& arg) {
+    try {
+      util::Config::from_args({arg}).reject_unknown(allowed);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const auto suggests = [](const std::string& what, const char* hint) {
+    return what.find(hint) != std::string::npos;
+  };
+
+  std::string what = diagnostic("crossover=0.2");
+  EXPECT_TRUE(suggests(what,
+                       "(did you mean 'hybrid.crossover_gate_fraction' or "
+                       "'hybrid.crossover_margin'?)"))
+      << what;
+  what = diagnostic("power_budget=40");
+  EXPECT_TRUE(
+      suggests(what, "(did you mean 'multicore.arbiter.die_budget'?)"))
+      << what;
+  what = diagnostic("migration_cost_cycles=5000");
+  EXPECT_TRUE(suggests(
+      what, "(did you mean 'multicore.migration_policy.cost_cycles'?)"))
+      << what;
+  what = diagnostic("bogus_knob=1");
+  EXPECT_TRUE(suggests(what, "unknown config key 'bogus_knob'")) << what;
+  EXPECT_FALSE(suggests(what, "did you mean")) << what;
+}
+
 TEST(ConfigRejectUnknown, KnownKeysPass) {
   util::Config cfg = util::Config::from_args({"benchmark=crafty"});
   EXPECT_NO_THROW(cfg.reject_unknown({"benchmark", "policy"}));

@@ -12,6 +12,8 @@
 #include "thermal/solver.h"
 #include "util/units.h"
 
+#include "rk4_reference.h"
+
 namespace hydra::thermal {
 namespace {
 
@@ -194,7 +196,7 @@ TEST(Solver, SingleNodeTransientExponential) {
   RcNetwork net;
   net.add_node("n", JoulesPerKelvin(2.0));           // C = 2
   net.connect_to_ambient(0, KelvinPerWatt(3.0));   // R = 3, tau = 6 s
-  TransientSolver solver(net, Celsius(45.0), Scheme::kRk4);
+  Rk4Reference solver(net, Celsius(45.0));
   const double power = 5.0;
   // Step for one tau in small increments; expect 1 - e^-1 of the rise.
   const double tau = 6.0;
@@ -213,7 +215,7 @@ TEST(Solver, BackwardEulerMatchesRk4) {
   net.connect(a, b, KelvinPerWatt(2.0));
   net.connect_to_ambient(b, KelvinPerWatt(1.0));
   TransientSolver be(net, Celsius(40.0), Scheme::kBackwardEuler);
-  TransientSolver rk(net, Celsius(40.0), Scheme::kRk4);
+  Rk4Reference rk(net, Celsius(40.0));
   const Vector p = {3.0, 0.5};
   for (int i = 0; i < 2000; ++i) {
     be.step(p, Seconds(0.01));
