@@ -22,6 +22,7 @@ Cache::Cache(const CacheConfig& cfg) {
   }
   ways_ = cfg.associativity;
   line_shift_ = std::countr_zero(cfg.line_bytes);
+  tag_shift_ = line_shift_ + std::countr_zero(sets_);
   store_.assign(sets_ * ways_, Way{});
 }
 
@@ -30,7 +31,7 @@ std::size_t Cache::set_index(std::uint64_t addr) const {
 }
 
 std::uint64_t Cache::tag_of(std::uint64_t addr) const {
-  return (addr >> line_shift_) / sets_;
+  return addr >> tag_shift_;  // sets_ is a power of two
 }
 
 bool Cache::access(std::uint64_t addr) {

@@ -61,6 +61,7 @@ class Cache {
   std::size_t sets_;
   std::size_t ways_;
   int line_shift_;
+  int tag_shift_;  ///< line_shift_ + log2(sets_)
   std::vector<Way> store_;  ///< sets_ * ways_, row-major by set
   std::uint64_t stamp_ = 0;
   std::uint64_t hits_ = 0;

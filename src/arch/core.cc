@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace hydra::arch {
@@ -14,7 +13,6 @@ using floorplan::BlockId;
 Core::Core(const CoreConfig& cfg, TraceSource& trace)
     : cfg_(cfg),
       trace_(&trace),
-      bpred_(cfg.bpred_index_bits, cfg.bpred_history_bits),
       icache_(cfg.icache),
       dcache_(cfg.dcache),
       l2_(cfg.l2),
@@ -27,12 +25,18 @@ Core::Core(const CoreConfig& cfg, TraceSource& trace)
   }
   if (cfg_.predictor == CoreConfig::Predictor::kTournament) {
     tournament_.emplace(cfg_.tournament);
+  } else {
+    gshare_.emplace(cfg_.bpred_index_bits, cfg_.bpred_history_bits);
   }
+  queue_cap_[0] = cfg_.int_queue_entries;
+  queue_cap_[1] = cfg_.fp_queue_entries;
+  queue_cap_[2] = cfg_.ls_queue_entries;
   rob_.resize(static_cast<std::size_t>(cfg_.rob_entries));
   slot_state_.assign(rob_.size(), kSlotIssued);
   scan_mask_.assign((rob_.size() + 63) / 64, 0);
   consumer_head_.assign(rob_.size(), -1);
   consumer_next_.assign(rob_.size(), -1);
+  wheel_.assign(static_cast<std::size_t>(kWheelCycles) * scan_mask_.size(), 0);
   frontend_.resize(static_cast<std::size_t>(cfg_.frontend_entries));
   set_frequency(cfg_.nominal_frequency_hz);
 }
@@ -52,14 +56,14 @@ void Core::set_issue_gate_fraction(double g) {
 }
 
 bool Core::predict_branch(std::uint64_t pc) {
-  return tournament_ ? tournament_->predict(pc) : bpred_.predict(pc);
+  return tournament_ ? tournament_->predict(pc) : gshare_->predict(pc);
 }
 
 void Core::update_predictor(std::uint64_t pc, bool taken) {
   if (tournament_) {
     tournament_->update(pc, taken);
   } else {
-    bpred_.update(pc, taken);
+    gshare_->update(pc, taken);
   }
 }
 
@@ -87,14 +91,6 @@ bool Core::mshr_available() const {
   return static_cast<int>(mshrs_.size()) < cfg_.mshr_entries;
 }
 
-std::int64_t Core::mshr_min_release() const {
-  // Only meaningful right after mshr_available() returned false, so all
-  // outstanding release times are > now_.
-  std::int64_t m = std::numeric_limits<std::int64_t>::max();
-  for (std::int64_t r : mshrs_) m = std::min(m, r);
-  return m;
-}
-
 void Core::mshr_allocate(std::int64_t release_cycle) {
   if (cfg_.mshr_entries > 0) mshrs_.push_back(release_cycle);
 }
@@ -105,52 +101,46 @@ void Core::set_frequency(double hz) {
   memory_latency_cycles_ = std::max(1, static_cast<int>(std::ceil(cycles)));
 }
 
-ActivityFrame Core::take_interval_activity() {
-  ActivityFrame out = interval_;
-  interval_.clear();
+ActivityFrame Core::interval_activity() const {
+  // Exact: the counts are integers below 2^53 and halving is exact.
+  ActivityFrame out;
+  for (std::size_t i = 0; i < out.events.size(); ++i) {
+    out.events[i] = static_cast<double>(half_events_[i]) * 0.5;
+  }
+  out.cycles = static_cast<double>(interval_cycles_);
+  out.clocked_cycles = static_cast<double>(interval_clocked_cycles_);
   return out;
 }
 
-int Core::queue_class(OpClass cls) const {
-  switch (cls) {
-    case OpClass::kIntAlu:
-    case OpClass::kIntMul:
-    case OpClass::kBranch:
-      return 0;
-    case OpClass::kFpAdd:
-    case OpClass::kFpMul:
-      return 1;
-    case OpClass::kLoad:
-    case OpClass::kStore:
-      return 2;
-  }
-  return 0;
+ActivityFrame Core::take_interval_activity() {
+  const ActivityFrame out = interval_activity();
+  half_events_.fill(0);
+  interval_cycles_ = 0;
+  interval_clocked_cycles_ = 0;
+  return out;
 }
 
-Core::RobEntry& Core::rob_at_seq(std::uint64_t seq) {
-  assert(seq >= head_seq_ && seq - head_seq_ < rob_count_);
-  std::size_t idx = rob_head_ + static_cast<std::size_t>(seq - head_seq_);
-  if (idx >= rob_.size()) idx -= rob_.size();
-  return rob_[idx];
+namespace {
+
+/// Issue queue of each OpClass (0 = int, 1 = fp, 2 = ls), by enum value.
+constexpr int kQueueClass[kNumOpClasses] = {0, 0, 1, 1, 2, 2, 0};
+
+int queue_class(OpClass cls) {
+  return kQueueClass[static_cast<std::size_t>(cls)];
 }
 
-const Core::RobEntry& Core::rob_at_seq(std::uint64_t seq) const {
-  assert(seq >= head_seq_ && seq - head_seq_ < rob_count_);
-  std::size_t idx = rob_head_ + static_cast<std::size_t>(seq - head_seq_);
-  if (idx >= rob_.size()) idx -= rob_.size();
-  return rob_[idx];
-}
+}  // namespace
 
 int Core::ifetch_latency(std::uint64_t pc) {
-  interval_.add(BlockId::kICache);
-  interval_.add(BlockId::kITB);
+  count(BlockId::kICache);
+  count(BlockId::kITB);
   int latency = 0;
   if (!itb_.access(pc)) latency += cfg_.tlb_miss_penalty;
   if (!icache_.access(pc)) {
     ++stats_.icache_misses;
-    interval_.add(BlockId::kL2);
-    interval_.add(BlockId::kL2Left, 0.5);
-    interval_.add(BlockId::kL2Right, 0.5);
+    count(BlockId::kL2);
+    count(BlockId::kL2Left, 1);
+    count(BlockId::kL2Right, 1);
     if (l2_.access(pc)) {
       latency += cfg_.l2_hit_latency;
     } else {
@@ -162,15 +152,15 @@ int Core::ifetch_latency(std::uint64_t pc) {
 }
 
 int Core::load_store_latency(std::uint64_t addr) {
-  interval_.add(BlockId::kDCache);
-  interval_.add(BlockId::kDTB);
+  count(BlockId::kDCache);
+  count(BlockId::kDTB);
   int latency = cfg_.l1_hit_latency;
   if (!dtb_.access(addr)) latency += cfg_.tlb_miss_penalty;
   if (!dcache_.access(addr)) {
     ++stats_.dcache_misses;
-    interval_.add(BlockId::kL2);
-    interval_.add(BlockId::kL2Left, 0.5);
-    interval_.add(BlockId::kL2Right, 0.5);
+    count(BlockId::kL2);
+    count(BlockId::kL2Left, 1);
+    count(BlockId::kL2Right, 1);
     if (l2_.access(addr)) {
       latency += cfg_.l2_hit_latency;
     } else {
@@ -237,7 +227,7 @@ void Core::do_fetch() {
     bool mispredicted = false;
     if (op.cls == OpClass::kBranch) {
       ++stats_.branches;
-      interval_.add(BlockId::kBPred);
+      count(BlockId::kBPred);
       const bool predicted = predict_branch(op.pc);
       update_predictor(op.pc, op.branch_taken);
       if (predicted != op.branch_taken) {
@@ -250,7 +240,16 @@ void Core::do_fetch() {
     }
     std::size_t tail = frontend_head_ + frontend_count_;
     if (tail >= frontend_.size()) tail -= frontend_.size();
-    frontend_[tail] = {op, mispredicted};
+    // Field by field: an aggregate assignment here compiled to byte
+    // stores into a stack temporary read back by wider loads, a
+    // store-forwarding stall on every fetched op.
+    FrontendOp& slot = frontend_[tail];
+    slot.cls = op.cls;
+    slot.num_srcs = op.num_srcs;
+    slot.mispredicted = mispredicted;
+    slot.src_dist[0] = op.src_dist[0];
+    slot.src_dist[1] = op.src_dist[1];
+    slot.mem_addr = op.mem_addr;
     ++frontend_count_;
     if (mispredicted) {
       fetch_halted_ = true;
@@ -266,47 +265,86 @@ void Core::do_rename() {
   for (int i = 0; i < cfg_.rename_width && frontend_count_ > 0; ++i) {
     if (rob_count_ >= rob_size) break;
     const FrontendOp& fop = frontend_[frontend_head_];
-    const int qc = queue_class(fop.op.cls);
-    const int cap = qc == 0   ? cfg_.int_queue_entries
-                    : qc == 1 ? cfg_.fp_queue_entries
-                              : cfg_.ls_queue_entries;
-    if (queue_count_[qc] >= cap) break;
+    const int qc = queue_class(fop.cls);
+    if (queue_count_[qc] >= queue_cap_[qc]) break;
 
     std::size_t tail = rob_head_ + rob_count_;
     if (tail >= rob_size) tail -= rob_size;
     RobEntry& e = rob_[tail];
-    e.cls = fop.op.cls;
-    e.num_srcs = fop.op.num_srcs;
+    e.cls = fop.cls;
     e.seq = next_seq_;
-    e.mem_addr = fop.op.mem_addr;
+    e.mem_addr = fop.mem_addr;
     e.issued = false;
     e.done_cycle = 0;
     e.mispredicted = fop.mispredicted;
-    slot_state_[tail] = kSlotBlocked;
     assert(consumer_head_[tail] == -1);  // emptied when the slot issued
-    scan_mask_[tail >> 6] |= std::uint64_t{1} << (tail & 63);
-    // A fresh entry may be issuable immediately: cancel any issue-scan
-    // sleep so the next do_issue looks at it.
-    issue_wake_cycle_ = 0;
     // Producers that predate the trace (distance beyond the first
     // instruction) are treated as always ready: keep only in-range ones.
     int kept = 0;
-    for (int s = 0; s < fop.op.num_srcs; ++s) {
-      const auto dist = static_cast<std::uint64_t>(fop.op.src_dist[s]);
+    for (int s = 0; s < fop.num_srcs; ++s) {
+      const auto dist = static_cast<std::uint64_t>(fop.src_dist[s]);
       if (dist <= next_seq_) e.src_seq[kept++] = next_seq_ - dist;
     }
     e.num_srcs = static_cast<std::uint8_t>(kept);
     ++next_seq_;
     ++rob_count_;
     ++queue_count_[qc];
+    place(tail);
     // `fop` aliases the ring's front slot: account for it before popping.
-    interval_.add(is_fp(fop.op.cls) ? BlockId::kFPMap : BlockId::kIntMap);
+    count(is_fp(fop.cls) ? BlockId::kFPMap : BlockId::kIntMap);
     if (++frontend_head_ == fe_size) frontend_head_ = 0;
     --frontend_count_;
   }
 }
 
+void Core::place(std::size_t cur) {
+  const std::size_t rob_size = rob_.size();
+  const RobEntry& e = rob_[cur];
+  // Once every producer has issued, the earliest-ready cycle is fixed
+  // (committed producers were ready before now_ and contribute nothing).
+  std::int64_t ready = 0;
+  for (int s = 0; s < e.num_srcs; ++s) {
+    const std::uint64_t ss = e.src_seq[s];
+    if (ss < head_seq_) continue;  // producer already committed
+    std::size_t pidx = rob_head_ + static_cast<std::size_t>(ss - head_seq_);
+    if (pidx >= rob_size) pidx -= rob_size;
+    if (!rob_[pidx].issued) {
+      slot_state_[cur] = kSlotBlocked;
+      consumer_next_[cur] = consumer_head_[pidx];
+      consumer_head_[pidx] = static_cast<std::int32_t>(cur);
+      return;
+    }
+    ready = std::max(ready, rob_[pidx].done_cycle);
+  }
+  slot_state_[cur] = ready;
+  if (ready > now_ && ready - now_ < kWheelCycles) {
+    wheel_insert(cur, ready);
+  } else {
+    set_scan(cur);
+  }
+}
+
+void Core::drain_wheel() {
+  // After kWheelCycles or more undrained cycles (idle spans) every bucket
+  // is due. Draining one early is harmless: the scan re-wheels an entry
+  // it meets before its ready cycle.
+  const std::int64_t due = std::min(now_ + 1 - wheel_cycle_, kWheelCycles);
+  const std::size_t words = scan_mask_.size();
+  for (std::int64_t c = now_ + 1 - due; c <= now_; ++c) {
+    std::uint64_t* bucket =
+        &wheel_[static_cast<std::size_t>(c & (kWheelCycles - 1)) * words];
+    for (std::size_t w = 0; w < words; ++w) {
+      scan_mask_[w] |= bucket[w];
+      bucket[w] = 0;
+    }
+  }
+  wheel_cycle_ = now_ + 1;
+}
+
 void Core::do_issue() {
+  // Due wheel buckets first, so cycles the gate or an idle span skipped
+  // are caught up before any scan.
+  drain_wheel();
   // Local-toggling support: gate the whole issue stage on a duty cycle.
   if (issue_gate_fraction_ > 0.0) {
     issue_gate_accumulator_ += issue_gate_fraction_;
@@ -315,29 +353,10 @@ void Core::do_issue() {
       return;
     }
   }
-  // Issue-scan sleep: a previous scan proved nothing can issue before
-  // this cycle (rename cancels the sleep when it dispatches an entry).
-  // The skipped scans are side-effect-free no-ops, so skipping them is
-  // invisible in the simulated results.
-  if (now_ < issue_wake_cycle_) return;
-
   // Unissued entries in flight == total issue-queue occupancy.
   if (queue_count_[0] + queue_count_[1] + queue_count_[2] == 0) return;
 
   const std::size_t rob_size = rob_.size();
-
-  // Wake-time bookkeeping for the sleep above: the earliest future cycle
-  // at which any scanned entry could become issuable, and whether any
-  // rejection had a cause (functional-unit limits) the wake time cannot
-  // bound. Entries parked on a consumer list need no wake entry: their
-  // producer is older, so it is scanned earlier (or parked behind a
-  // still-older producer) and either issued (no sleep) or contributed
-  // its own wake time — inductively down to the oldest unissued entry,
-  // which is always on the scan set because its sources are all issued
-  // or committed.
-  std::int64_t wake = std::numeric_limits<std::int64_t>::max();
-  bool fu_limited = false;
-
   const int issue_width = cfg_.issue_width;
   int issued_total = 0;
   int alu_used = 0;
@@ -346,195 +365,23 @@ void Core::do_issue() {
   int fpmul_used = 0;
   int mem_used = 0;
 
-  // Examine one scan-set entry; returns true when it issued (and so may
-  // have re-inserted parked consumers into the scan set).
-  auto visit = [&](std::size_t cur) -> bool {
-    std::int64_t st = slot_state_[cur];
-    assert(st != kSlotIssued);  // issued slots are never on the scan set
-    if (st == kSlotBlocked) {
-      // Resolve readiness: once every producer has issued, the earliest-
-      // ready cycle is fixed (committed producers were ready before now_
-      // and contribute nothing). Identical truth value to the old
-      // per-source source_ready() conjunction.
-      const RobEntry& e = rob_[cur];
-      std::int64_t rc = 0;
-      std::size_t block_pidx = rob_size;
-      for (int s = 0; s < e.num_srcs; ++s) {
-        const std::uint64_t ss = e.src_seq[s];
-        if (ss < head_seq_) continue;  // producer already committed
-        std::size_t pidx =
-            rob_head_ + static_cast<std::size_t>(ss - head_seq_);
-        if (pidx >= rob_size) pidx -= rob_size;
-        if (!rob_[pidx].issued) {
-          block_pidx = pidx;
-          break;
-        }
-        rc = std::max(rc, rob_[pidx].done_cycle);
-      }
-      if (block_pidx != rob_size) {
-        // Park on the unissued producer's consumer list, off the scan
-        // set; the producer's issue re-inserts it — exactly when a full
-        // scan could first observe it unblocked.
-        consumer_next_[cur] = consumer_head_[block_pidx];
-        consumer_head_[block_pidx] = static_cast<std::int32_t>(cur);
-        scan_mask_[cur >> 6] &= ~(std::uint64_t{1} << (cur & 63));
-        return false;
-      }
-      slot_state_[cur] = st = rc;
-    }
-    if (st > now_) {
-      wake = std::min(wake, st);
-      return false;
-    }
-
-    RobEntry& e = rob_[cur];
-    // Age offset of this entry (distance from the ROB head slot).
-    const std::size_t k =
-        cur >= rob_head_ ? cur - rob_head_ : cur + rob_size - rob_head_;
-
-    // Functional-unit availability (checked after readiness: both must
-    // hold for an issue, so the order is behaviour-neutral, and the
-    // readiness reject is by far the more common one).
-    bool fu_ok = false;
-    switch (e.cls) {
-      case OpClass::kIntAlu:
-      case OpClass::kBranch:
-        fu_ok = alu_used < cfg_.int_alu_units;
-        break;
-      case OpClass::kIntMul:
-        fu_ok = mul_used < cfg_.int_mul_units;
-        break;
-      case OpClass::kFpAdd:
-        fu_ok = fpadd_used < cfg_.fp_add_units;
-        break;
-      case OpClass::kFpMul:
-        fu_ok = fpmul_used < cfg_.fp_mul_units;
-        break;
-      case OpClass::kLoad:
-      case OpClass::kStore:
-        fu_ok = mem_used < cfg_.mem_ports;
-        break;
-    }
-    if (!fu_ok) {
-      fu_limited = true;
-      return false;
-    }
-
-    // Issue.
-    int latency = 0;
-    switch (e.cls) {
-      case OpClass::kIntAlu:
-        latency = cfg_.int_alu_latency;
-        ++alu_used;
-        interval_.add(BlockId::kIntExec);
-        interval_.add(BlockId::kIntReg, e.num_srcs + 1.0);
-        break;
-      case OpClass::kBranch:
-        latency = cfg_.int_alu_latency;
-        ++alu_used;
-        interval_.add(BlockId::kIntExec);
-        interval_.add(BlockId::kIntReg, e.num_srcs);
-        break;
-      case OpClass::kIntMul:
-        latency = cfg_.int_mul_latency;
-        ++mul_used;
-        interval_.add(BlockId::kIntExec);
-        interval_.add(BlockId::kIntReg, e.num_srcs + 1.0);
-        break;
-      case OpClass::kFpAdd:
-        latency = cfg_.fp_add_latency;
-        ++fpadd_used;
-        interval_.add(BlockId::kFPAdd);
-        interval_.add(BlockId::kFPReg, e.num_srcs + 1.0);
-        break;
-      case OpClass::kFpMul:
-        latency = cfg_.fp_mul_latency;
-        ++fpmul_used;
-        interval_.add(BlockId::kFPMul);
-        interval_.add(BlockId::kFPReg, e.num_srcs + 1.0);
-        break;
-      case OpClass::kLoad: {
-        bool forwarded = false;
-        if (cfg_.store_forwarding) {
-          const int fwd = forwarding_state(k, e.mem_addr);
-          if (fwd < 0) return false;  // older store address unresolved: wait
-          if (fwd > 0) {
-            latency = 1;  // store-to-load forwarding from the store queue
-            forwarded = true;
-          }
-        }
-        if (!forwarded) {
-          const bool l1_hit = dcache_.probe(e.mem_addr);
-          if (!l1_hit && !mshr_available()) {  // structural stall
-            wake = std::min(wake, mshr_min_release());
-            return false;
-          }
-          latency = load_store_latency(e.mem_addr);
-          if (!l1_hit) mshr_allocate(now_ + latency);
-        }
-        ++mem_used;
-        interval_.add(BlockId::kLdStQ);
-        interval_.add(BlockId::kIntReg, e.num_srcs + 1.0);
-        break;
-      }
-      case OpClass::kStore: {
-        // Address generation; data drains from the store queue post-commit.
-        const bool l1_hit = dcache_.probe(e.mem_addr);
-        if (!l1_hit && !mshr_available()) {  // structural stall
-          wake = std::min(wake, mshr_min_release());
-          return false;
-        }
-        const int fill = load_store_latency(e.mem_addr);
-        if (!l1_hit) mshr_allocate(now_ + fill);
-        latency = cfg_.int_alu_latency;
-        ++mem_used;
-        interval_.add(BlockId::kLdStQ);
-        interval_.add(BlockId::kIntReg, e.num_srcs);
-        break;
-      }
-    }
-    const int qc = queue_class(e.cls);
-    --queue_count_[qc];
-    interval_.add(qc == 0   ? BlockId::kIntQ
-                  : qc == 1 ? BlockId::kFPQ
-                            : BlockId::kLdStQ);
-    e.issued = true;
-    slot_state_[cur] = kSlotIssued;
-    scan_mask_[cur >> 6] &= ~(std::uint64_t{1} << (cur & 63));
-    e.done_cycle = now_ + latency;
-    ++issued_total;
-
-    // Wake parked consumers: back onto the scan set (still kSlotBlocked,
-    // so their next visit re-resolves against all sources). Consumers
-    // are strictly younger, so they land at later traversal positions
-    // and this scan still reaches them — matching the old full scan,
-    // where an entry whose producer issued earlier in the same pass
-    // resolved in that same pass.
-    for (std::int32_t c = consumer_head_[cur]; c >= 0;) {
-      const std::int32_t nc = consumer_next_[c];
-      scan_mask_[static_cast<std::size_t>(c) >> 6] |=
-          std::uint64_t{1} << (c & 63);
-      c = nc;
-    }
-    consumer_head_[cur] = -1;
-
-    if (e.cls == OpClass::kBranch && e.mispredicted) {
-      redirect_cycle_ = e.done_cycle + cfg_.mispredict_penalty;
-    }
-    return true;
-  };
-
   // Age-ordered traversal of the scan set: the live ROB region
   // [rob_head_, rob_head_ + rob_count_) as up to two linear slot spans
   // (slot order within a span IS age order, and every slot of the
   // wrapped span is younger than the whole first span). Only live
-  // unissued unparked slots ever have their bit set, so whole words can
-  // be consumed after masking the span edges.
-  auto scan_span = [&](std::size_t lo, std::size_t hi) {
-    std::size_t wi = lo >> 6;
+  // unissued slots ever have their bit set, so whole words can be
+  // consumed after masking the span edges.
+  const std::size_t tail = rob_head_ + rob_count_;
+  const std::size_t spans[2][2] = {
+      {rob_head_, std::min(tail, rob_size)},
+      {0, tail > rob_size ? tail - rob_size : 0}};
+  for (const auto& span : spans) {
+    const std::size_t lo = span[0];
+    const std::size_t hi = span[1];
+    if (lo >= hi) continue;
     const std::size_t wlast = (hi - 1) >> 6;
     std::uint64_t lo_mask = ~std::uint64_t{0} << (lo & 63);
-    for (; wi <= wlast; ++wi) {
+    for (std::size_t wi = lo >> 6; wi <= wlast; ++wi) {
       const std::uint64_t hi_mask =
           (wi == wlast && (hi & 63) != 0)
               ? ~std::uint64_t{0} >> (64 - (hi & 63))
@@ -545,29 +392,145 @@ void Core::do_issue() {
       while (w != 0) {
         const int b = std::countr_zero(w);
         w &= w - 1;
-        if (visit((wi << 6) + static_cast<std::size_t>(b))) {
-          if (issued_total >= issue_width) return true;
-          // The issue may have re-inserted consumers anywhere ahead;
-          // re-read this word's not-yet-visited remainder (later words
-          // are re-read when reached).
-          w = scan_mask_[wi] & span_mask & (~std::uint64_t{0} << b << 1);
+        const std::size_t cur = (wi << 6) + static_cast<std::size_t>(b);
+        const std::int64_t ready = slot_state_[cur];
+        assert(ready >= 0 && ready != kSlotIssued);  // never on the scan set
+        if (ready > now_) {
+          // Beyond the wheel's reach when placed, or drained early.
+          if (ready - now_ < kWheelCycles) {
+            clear_scan(cur);
+            wheel_insert(cur, ready);
+          }
+          continue;
         }
+
+        RobEntry& e = rob_[cur];
+        // Functional-unit availability (checked after readiness: both
+        // must hold for an issue, so the order is behaviour-neutral).
+        bool fu_ok = false;
+        switch (e.cls) {
+          case OpClass::kIntAlu:
+          case OpClass::kBranch:
+            fu_ok = alu_used < cfg_.int_alu_units;
+            break;
+          case OpClass::kIntMul:
+            fu_ok = mul_used < cfg_.int_mul_units;
+            break;
+          case OpClass::kFpAdd:
+            fu_ok = fpadd_used < cfg_.fp_add_units;
+            break;
+          case OpClass::kFpMul:
+            fu_ok = fpmul_used < cfg_.fp_mul_units;
+            break;
+          case OpClass::kLoad:
+          case OpClass::kStore:
+            fu_ok = mem_used < cfg_.mem_ports;
+            break;
+        }
+        if (!fu_ok) continue;
+
+        // Issue. Register-file activity counts in half-events (count()).
+        const auto srcs = static_cast<std::uint64_t>(e.num_srcs);
+        int latency = 0;
+        switch (e.cls) {
+          case OpClass::kIntAlu:
+            latency = cfg_.int_alu_latency;
+            ++alu_used;
+            count(BlockId::kIntExec);
+            count(BlockId::kIntReg, 2 * (srcs + 1));
+            break;
+          case OpClass::kBranch:
+            latency = cfg_.int_alu_latency;
+            ++alu_used;
+            count(BlockId::kIntExec);
+            count(BlockId::kIntReg, 2 * srcs);
+            break;
+          case OpClass::kIntMul:
+            latency = cfg_.int_mul_latency;
+            ++mul_used;
+            count(BlockId::kIntExec);
+            count(BlockId::kIntReg, 2 * (srcs + 1));
+            break;
+          case OpClass::kFpAdd:
+            latency = cfg_.fp_add_latency;
+            ++fpadd_used;
+            count(BlockId::kFPAdd);
+            count(BlockId::kFPReg, 2 * (srcs + 1));
+            break;
+          case OpClass::kFpMul:
+            latency = cfg_.fp_mul_latency;
+            ++fpmul_used;
+            count(BlockId::kFPMul);
+            count(BlockId::kFPReg, 2 * (srcs + 1));
+            break;
+          case OpClass::kLoad: {
+            bool forwarded = false;
+            if (cfg_.store_forwarding) {
+              // Age offset of this entry from the ROB head slot.
+              const std::size_t k = cur >= rob_head_
+                                        ? cur - rob_head_
+                                        : cur + rob_size - rob_head_;
+              const int fwd = forwarding_state(k, e.mem_addr);
+              if (fwd < 0) continue;  // older store address unresolved
+              if (fwd > 0) {
+                latency = 1;  // store-to-load forwarding from the store queue
+                forwarded = true;
+              }
+            }
+            if (!forwarded) {
+              const bool l1_hit = dcache_.probe(e.mem_addr);
+              if (!l1_hit && !mshr_available()) continue;  // structural
+              latency = load_store_latency(e.mem_addr);
+              if (!l1_hit) mshr_allocate(now_ + latency);
+            }
+            ++mem_used;
+            count(BlockId::kLdStQ);
+            count(BlockId::kIntReg, 2 * (srcs + 1));
+            break;
+          }
+          case OpClass::kStore: {
+            // Address generation; data drains from the store queue
+            // post-commit.
+            const bool l1_hit = dcache_.probe(e.mem_addr);
+            if (!l1_hit && !mshr_available()) continue;  // structural stall
+            const int fill = load_store_latency(e.mem_addr);
+            if (!l1_hit) mshr_allocate(now_ + fill);
+            latency = cfg_.int_alu_latency;
+            ++mem_used;
+            count(BlockId::kLdStQ);
+            count(BlockId::kIntReg, 2 * srcs);
+            break;
+          }
+        }
+        const int qc = queue_class(e.cls);
+        --queue_count_[qc];
+        count(qc == 0   ? BlockId::kIntQ
+              : qc == 1 ? BlockId::kFPQ
+                        : BlockId::kLdStQ);
+        e.issued = true;
+        slot_state_[cur] = kSlotIssued;
+        clear_scan(cur);
+        e.done_cycle = now_ + latency;
+        if (e.cls == OpClass::kBranch && e.mispredicted) {
+          redirect_cycle_ = e.done_cycle + cfg_.mispredict_penalty;
+        }
+
+        // Re-place parked consumers. They are strictly younger, so one
+        // ready this cycle (a zero latency) lands on the scan set ahead
+        // of the traversal, as a scan of every entry would find it.
+        for (std::int32_t c = consumer_head_[cur]; c >= 0;) {
+          const std::int32_t nc = consumer_next_[c];
+          place(static_cast<std::size_t>(c));
+          c = nc;
+        }
+        consumer_head_[cur] = -1;
+
+        if (++issued_total >= issue_width) return;
+        // Re-read this word's not-yet-visited remainder (later words are
+        // read when reached).
+        w = scan_mask_[wi] & span_mask & (~std::uint64_t{0} << b << 1);
       }
     }
-    return false;
-  };
-
-  const std::size_t tail = rob_head_ + rob_count_;
-  const bool width_full = scan_span(rob_head_, std::min(tail, rob_size));
-  if (!width_full && tail > rob_size) scan_span(0, tail - rob_size);
-
-  // Nothing issued and every rejection has a bounded wake time: sleep
-  // until the earliest of them. Issue events (which could unblock
-  // dependents) cannot happen before then, and rename cancels the sleep
-  // when it dispatches fresh entries.
-  if (issued_total == 0 && !fu_limited && wake > now_ &&
-      wake != std::numeric_limits<std::int64_t>::max()) {
-    issue_wake_cycle_ = wake;
   }
 }
 
@@ -590,15 +553,15 @@ void Core::cycle() {
   do_fetch();
   ++now_;
   ++stats_.cycles;
-  interval_.cycles += 1.0;
-  interval_.clocked_cycles += 1.0;
+  ++interval_cycles_;
+  ++interval_clocked_cycles_;
 }
 
 void Core::idle_cycle(bool clocked) {
   ++now_;
   ++stats_.cycles;
-  interval_.cycles += 1.0;
-  if (clocked) interval_.clocked_cycles += 1.0;
+  ++interval_cycles_;
+  if (clocked) ++interval_clocked_cycles_;
 }
 
 void Core::flush_pipeline() {
@@ -620,19 +583,17 @@ void Core::flush_pipeline() {
   std::fill(scan_mask_.begin(), scan_mask_.end(), std::uint64_t{0});
   std::fill(consumer_head_.begin(), consumer_head_.end(), -1);
   std::fill(consumer_next_.begin(), consumer_next_.end(), -1);
+  std::fill(wheel_.begin(), wheel_.end(), std::uint64_t{0});
   queue_count_[0] = queue_count_[1] = queue_count_[2] = 0;
   mshrs_.clear();
-  issue_wake_cycle_ = 0;  // the next dispatched entry may be ready at once
 }
 
 void Core::idle_cycles(std::uint64_t n, bool clocked) {
-  // Bit-identical to n x idle_cycle(clocked): the counters are integers
-  // or integer-valued doubles (exact below 2^53), so adding n once gives
-  // the same bits as adding 1.0 n times.
+  // Identical to n x idle_cycle(clocked): the counters are integers.
   now_ += static_cast<std::int64_t>(n);
   stats_.cycles += n;
-  interval_.cycles += static_cast<double>(n);
-  if (clocked) interval_.clocked_cycles += static_cast<double>(n);
+  interval_cycles_ += n;
+  if (clocked) interval_clocked_cycles_ += n;
 }
 
 }  // namespace hydra::arch

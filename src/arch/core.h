@@ -15,6 +15,7 @@
 // DTM policy exploits.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -82,10 +83,9 @@ class Core {
   void idle_cycle(bool clocked);
 
   /// Advance `n` idle cycles in O(1). Idle cycles touch no pipeline
-  /// state — only the cycle counters and the activity frame — and both
-  /// accumulate integer-valued doubles that stay exact below 2^53, so
-  /// this is bit-identical to calling idle_cycle(clocked) n times
-  /// (asserted by the fastpath bit-identity test).
+  /// state — only the integer cycle counters — so this is bit-identical
+  /// to calling idle_cycle(clocked) n times (asserted by the fastpath
+  /// bit-identity test).
   void idle_cycles(std::uint64_t n, bool clocked);
 
   /// Rebind the instruction source — the thread-migration seam. The new
@@ -109,12 +109,16 @@ class Core {
 
   /// Activity accumulated since the last take; clears the frame.
   ActivityFrame take_interval_activity();
-  const ActivityFrame& interval_activity() const { return interval_; }
+  ActivityFrame interval_activity() const;
 
  private:
+  /// The fields of a fetched op that rename reads.
   struct FrontendOp {
-    MicroOp op;
+    OpClass cls = OpClass::kIntAlu;
+    std::uint8_t num_srcs = 0;
     bool mispredicted = false;
+    std::int32_t src_dist[2] = {0, 0};
+    std::uint64_t mem_addr = 0;
   };
 
   struct RobEntry {
@@ -128,23 +132,45 @@ class Core {
     bool mispredicted = false;
   };
 
-  // Dense per-ROB-slot issue state read by do_issue, so the common
-  // reject paths touch this 8-byte array instead of the 64-byte
-  // RobEntry:
+  // Dense per-ROB-slot issue state, so the scan's reject paths touch this
+  // 8-byte array instead of the 64-byte RobEntry:
   //   kSlotIssued — entry issued;
   //   kSlotBlocked — some producer unissued (entry sits on that
   //                  producer's consumer list, off the scan set);
-  //   >= 0 — memoized earliest cycle every source is ready (final once
-  //          computed: done_cycle is fixed at issue and never changes,
-  //          so the per-cycle readiness test is one compare).
+  //   >= 0 — the earliest cycle every source is ready (final once
+  //          computed: done_cycle is fixed at issue and never changes).
   static constexpr std::int64_t kSlotIssued =
       std::numeric_limits<std::int64_t>::max();
   static constexpr std::int64_t kSlotBlocked = -1;
+
+  /// Ready-cycle wheel: one scan-set-shaped bitmask per future cycle,
+  /// modulo kWheelCycles.
+  static constexpr std::int64_t kWheelCycles = 256;
 
   void do_fetch();
   void do_rename();
   void do_issue();
   void do_commit();
+
+  /// Resolve slot `cur`'s readiness from its producers and put it where
+  /// do_issue will next look for it: on its first unissued producer's
+  /// consumer list, on the wheel at its ready cycle, or on the scan set.
+  void place(std::size_t cur);
+  /// OR every wheel bucket due by now_ into the scan set.
+  void drain_wheel();
+
+  void set_scan(std::size_t slot) {
+    scan_mask_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  }
+  void clear_scan(std::size_t slot) {
+    scan_mask_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  }
+  void wheel_insert(std::size_t slot, std::int64_t ready_cycle) {
+    const auto bucket =
+        static_cast<std::size_t>(ready_cycle & (kWheelCycles - 1));
+    wheel_[bucket * scan_mask_.size() + (slot >> 6)] |=
+        std::uint64_t{1} << (slot & 63);
+  }
 
   bool predict_branch(std::uint64_t pc);
   void update_predictor(std::uint64_t pc, bool taken);
@@ -157,13 +183,13 @@ class Core {
   /// MSHR availability / allocation for D-side misses.
   bool mshr_available() const;
   void mshr_allocate(std::int64_t release_cycle);
-  /// Earliest outstanding MSHR release (INT64_MAX when none): the wake
-  /// time for a scan stalled only on MSHR structural hazards.
-  std::int64_t mshr_min_release() const;
 
-  RobEntry& rob_at_seq(std::uint64_t seq);
-  const RobEntry& rob_at_seq(std::uint64_t seq) const;
-  int queue_class(OpClass cls) const;  ///< 0=int, 1=fp, 2=ls
+  /// Block activity in half-events: every increment the core makes is a
+  /// multiple of 0.5, so integer sums convert to exactly the doubles a
+  /// per-event double accumulation would hold.
+  void count(floorplan::BlockId id, std::uint64_t half_events = 2) {
+    half_events_[static_cast<std::size_t>(id)] += half_events;
+  }
 
   /// Memory hierarchy lookups; return total access latency in cycles and
   /// count the activity.
@@ -172,9 +198,8 @@ class Core {
 
   CoreConfig cfg_;
   TraceSource* trace_;
-  GsharePredictor bpred_;
-  /// Built only when cfg_.predictor == kTournament: its tables (~24 KiB
-  /// at the default geometry) are dead weight under gshare.
+  /// Only the predictor cfg_.predictor selects is built.
+  std::optional<GsharePredictor> gshare_;
   std::optional<TournamentPredictor> tournament_;
   Cache icache_;
   Cache dcache_;
@@ -213,35 +238,37 @@ class Core {
   std::uint64_t head_seq_ = 0; ///< seq of oldest in-ROB entry
   std::uint64_t next_seq_ = 0;
 
-  // Issue-scan set, one bit per ROB slot: entries do_issue must look at
-  // (fresh from rename, or source-ready cycle memoized in slot_state_).
-  // Issued entries and entries blocked on an unissued producer are off
-  // the set — a blocked entry is parked on that producer's consumer
-  // list (head/next form intrusive singly-linked lists over slots, -1
-  // terminated) and re-inserted the moment the producer issues, which is
-  // exactly when the old full scan could first observe it unblocked. An
-  // entry sits on at most one list: its bit and its list membership are
-  // mutually exclusive, and issue empties a producer's list before the
-  // slot can ever be recycled by rename.
+  // Where an unissued entry waits, one place at a time (place()):
+  //  * the scan set (scan_mask_, one bit per ROB slot): entries do_issue
+  //    visits, in slot order, which within the live region's one or two
+  //    linear spans is age order. Ready entries, and entries whose ready
+  //    cycle lies kWheelCycles or more ahead, which the scan re-checks.
+  //  * a producer's consumer list (consumer_head_/consumer_next_,
+  //    intrusive singly-linked lists over slots, -1 terminated): entries
+  //    blocked on that unissued producer. Its issue re-places them,
+  //    before the scan reaches them (consumers are younger), which is
+  //    exactly when a scan of every entry could first see them unblocked.
+  //    Issue empties a producer's list before commit can recycle its slot.
+  //  * the wheel (wheel_, kWheelCycles scan-set-shaped masks): entries
+  //    whose ready cycle is known and ahead; drain_wheel() returns each
+  //    to the scan set by the top of its ready cycle's do_issue.
+  // Visiting an entry before its ready cycle has no effect, so the scan
+  // issues what a scan of every ROB entry would, in the same order.
   std::vector<std::uint64_t> scan_mask_;
   std::vector<std::int32_t> consumer_head_;
   std::vector<std::int32_t> consumer_next_;
+  std::vector<std::uint64_t> wheel_;
+  std::int64_t wheel_cycle_ = 0;     ///< first cycle not yet drained
 
-  // Issue-queue occupancy per class (int, fp, ls).
+  // Issue-queue occupancy and capacity per class (int, fp, ls).
   int queue_count_[3] = {0, 0, 0};
-
-  // Issue-scan sleep: when a full scan issues nothing and proves nothing
-  // can become issuable before this cycle (all wake sources — producer
-  // done_cycles and MSHR releases — are accounted, and no entry was
-  // rejected on functional-unit limits), scans are skipped until then.
-  // Rename resets it to 0: a newly dispatched entry may be ready at
-  // once. Skipped scans are no-ops by construction, so results are
-  // identical to scanning every cycle.
-  std::int64_t issue_wake_cycle_ = 0;
+  int queue_cap_[3] = {0, 0, 0};
 
   std::int64_t now_ = 0;
   CoreStats stats_;
-  ActivityFrame interval_;
+  std::array<std::uint64_t, floorplan::kNumBlocks> half_events_{};
+  std::uint64_t interval_cycles_ = 0;
+  std::uint64_t interval_clocked_cycles_ = 0;
 };
 
 }  // namespace hydra::arch

@@ -161,10 +161,13 @@ const char* backend_name(Backend b) {
   return "?";
 }
 
+PackedMatrix::PackedMatrix(std::size_t rows, std::size_t cols)
+    : rows_(rows), cols_(cols), stride_(padded_size(cols)),
+      data_(rows * stride_, 0.0) {}
+
 PackedMatrix::PackedMatrix(std::size_t rows, std::size_t cols,
                            const double* row_major)
-    : rows_(rows), cols_(cols), stride_(padded_size(cols)),
-      data_(rows * stride_, 0.0) {
+    : PackedMatrix(rows, cols) {
   for (std::size_t r = 0; r < rows; ++r) {
     std::memcpy(&data_[r * stride_], row_major + r * cols,
                 cols * sizeof(double));

@@ -62,8 +62,13 @@ const char* backend_name(Backend b);
 class PackedMatrix {
  public:
   PackedMatrix() = default;
+  /// A `rows` x `cols` matrix of zeros.
+  PackedMatrix(std::size_t rows, std::size_t cols);
   /// Pack `rows` x `cols` row-major data (stride == cols).
   PackedMatrix(std::size_t rows, std::size_t cols, const double* row_major);
+
+  /// Element (r, c), c < cols(); the padding stays zero.
+  double& at(std::size_t r, std::size_t c) { return data_[r * stride_ + c]; }
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

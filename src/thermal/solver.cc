@@ -102,8 +102,8 @@ const FusedStepOperator& LuCache::fused(double dt) const {
     const std::size_t n = net_->size();
     const LuFactorization lu(backward_euler_matrix(dt));
     auto op = std::make_unique<FusedStepOperator>();
-    op->m = Matrix(n, n);
-    op->n = Matrix(n, n);
+    op->pm = simd::PackedMatrix(n, n);
+    op->pn = simd::PackedMatrix(n, n);
     // Column j of N is the solve against the j-th basis vector; M scales
     // each column by that node's C/dt.
     Vector basis(n, 0.0);
@@ -114,12 +114,10 @@ const FusedStepOperator& LuCache::fused(double dt) const {
       basis[j] = 0.0;
       const double c_over_dt = net_->capacitance(j).value() / dt;
       for (std::size_t i = 0; i < n; ++i) {
-        op->n(i, j) = col[i];
-        op->m(i, j) = col[i] * c_over_dt;
+        op->pn.at(i, j) = col[i];
+        op->pm.at(i, j) = col[i] * c_over_dt;
       }
     }
-    op->pm = simd::PackedMatrix(n, n, &op->m(0, 0));
-    op->pn = simd::PackedMatrix(n, n, &op->n(0, 0));
     it = fused_cache_.emplace(dt, std::move(op)).first;
   }
   return *it->second;

@@ -61,14 +61,12 @@ enum class Scheme {
 /// over full runs by thermal_fastpath tests before kFusedBE became the
 /// simulation default).
 struct FusedStepOperator {
-  Matrix m;  ///< multiplies the current temperature rise
-  Matrix n;  ///< multiplies the power vector
-  /// Padded-row packed twins of m and n (built alongside them in
-  /// LuCache::fused): the per-step kernels run on these so the inner
-  /// loops are tail-free stride-1 FMA. Values agree with m/n bit for
-  /// bit; padding is exact zeros.
-  simd::PackedMatrix pm;
-  simd::PackedMatrix pn;
+  /// M and N in padded-row packed form (LuCache::fused writes the solve
+  /// columns straight into them; no dense copy is kept): the per-step
+  /// kernels run on these so the inner loops are tail-free stride-1 FMA.
+  /// Padding is exact zeros.
+  simd::PackedMatrix pm;  ///< M: multiplies the current temperature rise
+  simd::PackedMatrix pn;  ///< N: multiplies the power vector
 };
 
 /// Sparse backward-Euler step state for one (rounded) dt: the LDL^T

@@ -11,12 +11,14 @@
 // rest on.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "arch/isa.h"
 #include "util/fields.h"
+#include "util/geometric_table.h"
 #include "util/rng.h"
 
 namespace hydra::workload {
@@ -57,7 +59,7 @@ struct WorkloadProfile {
   /// Distances are drawn geometrically around this mean; larger means
   /// more independent work in flight.
   double mean_dep_distance = 5.0;
-  int max_dep_distance = 64;
+  int max_dep_distance = 64;  ///< >= 1
   /// Fraction of ops with two register sources (rest have one).
   double frac_two_src = 0.35;
 
@@ -66,7 +68,7 @@ struct WorkloadProfile {
   /// branches are strongly biased and learned quickly.
   double hard_branch_fraction = 0.08;
 
-  /// Footprints [bytes].
+  /// Footprints [bytes]. The instruction footprint is at most 16 MiB.
   std::uint64_t inst_footprint = 48 * 1024;     ///< fits L1I when small
   std::uint64_t data_hot_footprint = 32 * 1024; ///< L1-resident set
   std::uint64_t data_warm_footprint = 128 * 1024;  ///< L2-resident set
@@ -105,27 +107,53 @@ void visit_fields(Self& p, F&& f) {
 }
 
 /// Deterministic trace source implementing the profile.
+///
+/// Ops are generated 64 at a time into a buffer the trace owns (so it
+/// moves with the trace when a thread migrates), from tables: a 4-bit
+/// class per 4-byte instruction slot, filled on the slot's first visit
+/// (the class is a pure function of pc), and per phase an exact
+/// GeometricTable of the dependency-distance draw plus the memory-region
+/// probabilities, built at construction. The
+/// stream is the per-op generator's, field by field
+/// (tests/trace_reference.h holds that generator as the reference twin).
 class SyntheticTrace final : public arch::TraceSource {
  public:
   explicit SyntheticTrace(const WorkloadProfile& profile);
 
-  arch::MicroOp next() override;
+  arch::MicroOp next() override {
+    if (pos_ == kBuffer) refill();
+    return buffer_[pos_++];
+  }
 
   /// Index of the phase the next instruction belongs to.
-  std::size_t current_phase() const { return phase_index_; }
+  std::size_t current_phase() const {
+    return pos_ < kBuffer ? buffer_phase_[pos_] : phase_index_;
+  }
 
  private:
-  const PhaseSpec& phase() const;
-  void advance_phase();
-  std::uint64_t pick_data_address(double mem_scale);
+  static constexpr std::size_t kBuffer = 64;
+
+  /// Per-phase draw tables.
+  struct PhaseTables {
+    util::GeometricTable dep;  ///< dependency distance - 1
+    double stream_p;           ///< memory access streams past the L2
+    double stream_or_warm_p;   ///< stream_p + the warm-region probability
+  };
+
+  void refill();
+  std::uint64_t pick_data_address(const PhaseTables& ph);
 
   WorkloadProfile profile_;
   util::Rng rng_;
-  std::size_t phase_index_ = 0;
+  std::vector<PhaseTables> tables_;       ///< one per phase (>= 1)
+  std::vector<std::uint8_t> slot_class_;  ///< 4 bits per 4-byte slot
+  std::size_t phase_index_ = 0;           ///< phase of the next op generated
   std::uint64_t phase_remaining_ = 0;
-  std::uint64_t pc_;
+  std::uint64_t pc_offset_ = 0;           ///< next pc - the text base
   std::uint64_t stream_cursor_ = 0;
-  PhaseSpec default_phase_{};
+  std::size_t pos_ = kBuffer;             ///< next buffered op to return
+  std::array<arch::MicroOp, kBuffer> buffer_{};
+  std::array<std::uint32_t, kBuffer> buffer_phase_{};
 };
 
 }  // namespace hydra::workload

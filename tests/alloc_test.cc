@@ -273,6 +273,27 @@ TEST_F(Footprint, SparseDieModelFormsNoDenseMatrix) {
   EXPECT_LT(bytes, n * n * sizeof(double) / 2) << bytes / kKiB << " KiB";
 }
 
+// The fused operator for one dt on the single-core model keeps only its
+// packed M and N. Building it also assembles C/dt + G and factorises it
+// (one n x n matrix each, freed after); a dense copy of M and N kept
+// beside the packed pair would add two more.
+TEST_F(Footprint, FusedOperatorKeepsOnlyPackedMatrices) {
+  const sim::SimConfig cfg = sim::default_sim_config();
+  sim::ModelCache models;
+  const auto shared = models.get(cfg);
+  const std::size_t n = shared->model.network.size();
+  ASSERT_EQ(n, 28u);
+
+  const std::uint64_t before = allocated_bytes();
+  const thermal::FusedStepOperator& op = shared->lu_cache->fused(1e-4);
+  const std::uint64_t bytes = allocated_bytes() - before;
+
+  const std::uint64_t packed =
+      2 * op.pm.rows() * op.pm.stride() * sizeof(double);
+  const std::uint64_t dense = n * n * sizeof(double);
+  EXPECT_LT(bytes, packed + 2 * dense + 2 * kKiB) << bytes << " bytes";
+}
+
 // A single-core System with its model cached: the core (L2 tag store
 // 512 KiB, L1s 16 KiB each, no tournament tables under gshare), trace,
 // sensors, power model and the 28-node solver.

@@ -40,6 +40,20 @@ TEST(Profile, RejectsBadDependenceAndFootprints) {
   p = simple_profile();
   p.inst_footprint = 100;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+  // At max_dep_distance 0 every op depended on itself and the core
+  // never issued.
+  for (const int max : {0, -1, -64}) {
+    p = simple_profile();
+    p.max_dep_distance = max;
+    EXPECT_THROW(p.validate(), std::invalid_argument) << max;
+  }
+  p = simple_profile();
+  p.max_dep_distance = 1;
+  EXPECT_NO_THROW(p.validate());
+  p.inst_footprint = 16 * 1024 * 1024;
+  EXPECT_NO_THROW(p.validate());
+  p.inst_footprint = 16 * 1024 * 1024 + 4;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
   p = simple_profile();
   p.warm_access_fraction = 0.9;
   p.stream_access_fraction = 0.2;
