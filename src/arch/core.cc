@@ -151,12 +151,14 @@ int Core::ifetch_latency(std::uint64_t pc) {
   return latency;
 }
 
-int Core::load_store_latency(std::uint64_t addr) {
+int Core::data_access(std::uint64_t addr) {
+  const Cache::Lookup l1 = dcache_.find(addr);
+  if (!l1.hit() && !mshr_available()) return -1;
   count(BlockId::kDCache);
   count(BlockId::kDTB);
   int latency = cfg_.l1_hit_latency;
   if (!dtb_.access(addr)) latency += cfg_.tlb_miss_penalty;
-  if (!dcache_.access(addr)) {
+  if (!dcache_.touch(l1)) {
     ++stats_.dcache_misses;
     count(BlockId::kL2);
     count(BlockId::kL2Left, 1);
@@ -167,6 +169,7 @@ int Core::load_store_latency(std::uint64_t addr) {
       ++stats_.l2_misses;
       latency += memory_latency_cycles_;
     }
+    mshr_allocate(now_ + latency);
   }
   return latency;
 }
@@ -478,10 +481,8 @@ void Core::do_issue() {
               }
             }
             if (!forwarded) {
-              const bool l1_hit = dcache_.probe(e.mem_addr);
-              if (!l1_hit && !mshr_available()) continue;  // structural
-              latency = load_store_latency(e.mem_addr);
-              if (!l1_hit) mshr_allocate(now_ + latency);
+              latency = data_access(e.mem_addr);
+              if (latency < 0) continue;  // structural: no free MSHR
             }
             ++mem_used;
             count(BlockId::kLdStQ);
@@ -491,10 +492,7 @@ void Core::do_issue() {
           case OpClass::kStore: {
             // Address generation; data drains from the store queue
             // post-commit.
-            const bool l1_hit = dcache_.probe(e.mem_addr);
-            if (!l1_hit && !mshr_available()) continue;  // structural stall
-            const int fill = load_store_latency(e.mem_addr);
-            if (!l1_hit) mshr_allocate(now_ + fill);
+            if (data_access(e.mem_addr) < 0) continue;  // no free MSHR
             latency = cfg_.int_alu_latency;
             ++mem_used;
             count(BlockId::kLdStQ);

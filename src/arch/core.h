@@ -192,8 +192,10 @@ class Core {
   }
 
   /// Memory hierarchy lookups; return total access latency in cycles and
-  /// count the activity.
-  int load_store_latency(std::uint64_t addr);
+  /// count the activity. data_access() scans the D-cache set once and
+  /// returns -1, touching nothing, on an L1 miss with every MSHR busy;
+  /// otherwise it holds an MSHR for an L1 miss until the fill returns.
+  int data_access(std::uint64_t addr);
   int ifetch_latency(std::uint64_t pc);
 
   CoreConfig cfg_;

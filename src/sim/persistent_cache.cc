@@ -1,7 +1,12 @@
 #include "sim/persistent_cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -116,21 +121,63 @@ bool parse_hex16(std::string_view s, std::uint64_t& out) {
   return true;
 }
 
+/// Owns an open file descriptor.
+struct FileDescriptor {
+  int fd = -1;
+  explicit FileDescriptor(int f) : fd(f) {}
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+  ~FileDescriptor() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+/// Reads all of `p` into `out` through one open and, if `mtime_ns` is
+/// given, takes the modification time (ns since the epoch) from that
+/// open's fstat, so a census costs one open per entry and no further
+/// stat. False if the file cannot be opened or read.
+bool read_file(const fs::path& p, std::string& out,
+               std::int64_t* mtime_ns = nullptr) {
+  const FileDescriptor file(::open(p.c_str(), O_RDONLY | O_CLOEXEC));
+  struct stat st {};
+  if (file.fd < 0 || ::fstat(file.fd, &st) != 0) return false;
+  if (mtime_ns != nullptr) {
+    *mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+                st.st_mtim.tv_nsec;
+  }
+  // One byte of slack lets the read that sees end-of-file end the loop
+  // without growing the buffer.
+  out.resize(static_cast<std::size_t>(std::max<off_t>(st.st_size, 0)) + 1);
+  std::size_t got = 0;
+  for (;;) {
+    if (got == out.size()) out.resize(2 * out.size());
+    const ssize_t n = ::read(file.fd, out.data() + got, out.size() - got);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  out.resize(got);
+  return true;
+}
+
 enum class FileStatus { kOk, kCorrupt, kStale };
 
 struct ParsedEntry {
   FileStatus status = FileStatus::kCorrupt;
   std::uint64_t checksum = 0;
   std::string payload;
+  std::uint64_t bytes = 0;     ///< file size, from the read
+  std::int64_t mtime_ns = 0;   ///< modification time, from the same open
 };
 
 ParsedEntry parse_entry_file(const fs::path& p, std::uint64_t expected_key) {
   ParsedEntry out;
-  std::ifstream in(p, std::ios::binary);
-  if (!in) return out;
-  std::string raw((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return out;
+  std::string raw;
+  if (!read_file(p, raw, &out.mtime_ns)) return out;
+  out.bytes = raw.size();
   if (raw.size() < kHeaderBytes + 8) return out;
   if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) return out;
   Reader r{std::string_view(raw), sizeof(kMagic), true};
@@ -232,7 +279,7 @@ void PersistentRunCache::recover_locked() {
   struct Found {
     std::uint64_t key;
     IndexEntry entry;
-    fs::file_time_type mtime;
+    std::int64_t mtime_ns;
   };
   std::vector<Found> found;
   for (std::size_t s = 0; s < opts_.shards; ++s) {
@@ -266,15 +313,15 @@ void PersistentRunCache::recover_locked() {
       Found f;
       f.key = key;
       f.entry.path = p;
-      f.entry.bytes = fs::file_size(p, ec);
+      f.entry.bytes = parsed.bytes;
       f.entry.checksum = parsed.checksum;
-      f.mtime = fs::last_write_time(p, ec);
+      f.mtime_ns = parsed.mtime_ns;
       found.push_back(std::move(f));
     }
   }
   std::sort(found.begin(), found.end(),
             [](const Found& a, const Found& b) {
-              if (a.mtime != b.mtime) return a.mtime < b.mtime;
+              if (a.mtime_ns != b.mtime_ns) return a.mtime_ns < b.mtime_ns;
               return a.key < b.key;
             });
   index_.clear();
@@ -294,21 +341,26 @@ void PersistentRunCache::recover_locked() {
   // silent recompute. A torn final line (killed mid-append) simply
   // fails the parse and is skipped. Afterwards the journal is compacted
   // to the surviving index so it cannot grow without bound.
+  std::string journal;
   {
     static const obs::Counter lost =
         obs::metrics().counter("cache.disk_lost_publishes");
+    if (!read_file(fs::path(opts_.dir) / "manifest.log", journal)) {
+      journal.clear();  // missing or unreadable: nothing to replay
+    }
     std::map<std::uint64_t, bool> last_intent_is_publish;
-    std::ifstream in(fs::path(opts_.dir) / "manifest.log");
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::string_view v(line);
+    std::string_view rest(journal);
+    while (!rest.empty()) {
+      const std::size_t nl = rest.find('\n');
+      const std::string_view v = rest.substr(0, nl);
+      rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
       std::uint64_t key = 0;
       std::uint64_t checksum = 0;
-      if (line.size() >= 35 && line[0] == 'P' && line[1] == ' ' &&
-          parse_hex16(v.substr(2, 16), key) && line[18] == ' ' &&
+      if (v.size() >= 35 && v[0] == 'P' && v[1] == ' ' &&
+          parse_hex16(v.substr(2, 16), key) && v[18] == ' ' &&
           parse_hex16(v.substr(19, 16), checksum)) {
         last_intent_is_publish[key] = true;
-      } else if (line.size() >= 18 && line[0] == 'E' && line[1] == ' ' &&
+      } else if (v.size() >= 18 && v[0] == 'E' && v[1] == ' ' &&
                  parse_hex16(v.substr(2, 16), key)) {
         last_intent_is_publish[key] = false;
       }
@@ -320,7 +372,7 @@ void PersistentRunCache::recover_locked() {
       }
     }
   }
-  compact_manifest_locked();
+  compact_manifest_locked(journal);
   enforce_capacity_locked();
 }
 
@@ -358,14 +410,18 @@ void PersistentRunCache::append_manifest_locked(char op, std::uint64_t key,
   out.flush();
 }
 
-void PersistentRunCache::compact_manifest_locked() {
+void PersistentRunCache::compact_manifest_locked(std::string_view journal) {
+  std::string compact;
+  compact.reserve(36 * index_.size());
+  for (const auto& [key, entry] : index_) {
+    compact += "P " + hex16(key) + " " + hex16(entry.checksum) + "\n";
+  }
+  if (compact == journal) return;  // already compact: leave the file be
   const fs::path manifest = fs::path(opts_.dir) / "manifest.log";
   const fs::path tmp = fs::path(opts_.dir) / "manifest.log.tmp";
   {
     std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    for (const auto& [key, entry] : index_) {
-      out << "P " << hex16(key) << " " << hex16(entry.checksum) << "\n";
-    }
+    out.write(compact.data(), static_cast<std::streamsize>(compact.size()));
     out.flush();
     if (!out.good()) return;  // keep the old manifest rather than lose it
   }

@@ -44,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "sim/system.h"
 #include "util/sync.h"
@@ -124,7 +125,9 @@ class PersistentRunCache {
   void append_manifest_locked(char op, std::uint64_t key,
                               std::uint64_t checksum = 0)
       HYDRA_REQUIRES(mu_);
-  void compact_manifest_locked() HYDRA_REQUIRES(mu_);
+  /// Rewrite manifest.log as one `P` line per indexed entry, in key
+  /// order, unless `journal` (its current bytes) is exactly that already.
+  void compact_manifest_locked(std::string_view journal) HYDRA_REQUIRES(mu_);
   void recover_locked() HYDRA_REQUIRES(mu_);
 
   Options opts_;  ///< immutable after construction

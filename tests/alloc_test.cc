@@ -226,16 +226,17 @@ TEST_F(AllocationFree, RunPointKey) {
 }
 
 // Footprints: a run holds only what it steps with. Each bound fails if
-// cache ways grow past 16 bytes, a gshare core builds tournament tables,
-// or a sparse-path model forms a dense G.
+// cache ways grow past 4-byte tags (a 16-byte stamped way puts the L2
+// alone at 512 KiB), a gshare core builds tournament tables, or a
+// sparse-path model forms a dense G.
 class Footprint : public AllocationFree {};
 
 constexpr std::uint64_t kKiB = 1024;
 
-// Per tile of a 64-core die whose model is already cached: the tile's
-// core (4 MiB L2's tag store, 512 KiB), sensors, trace and scratch, plus
-// a 1/64 share of the solver. A dense 1162-node G (10.3 MiB) in the
-// solver alone would add 165 KiB a tile.
+// Per tile of a 64-core die whose model is already cached, 181 KiB: the
+// tile's core (the 4 MiB L2's tag store, 132 KiB), sensors, trace and
+// scratch, plus a 1/64 share of the solver. A dense 1162-node G
+// (10.3 MiB) in the solver alone would add 165 KiB a tile.
 TEST_F(Footprint, SixtyFourCoreDiePerTile) {
   sim::SimConfig cfg = sim::default_sim_config();
   cfg.multicore.cores = 64;
@@ -246,7 +247,7 @@ TEST_F(Footprint, SixtyFourCoreDiePerTile) {
   const sim::MulticoreSystem system(workload::spec2000_profile("crafty"),
                                     cfg, nullptr);
   const std::uint64_t per_tile = (allocated_bytes() - before) / 64;
-  EXPECT_LT(per_tile, 640 * kKiB) << per_tile / kKiB << " KiB per tile";
+  EXPECT_LT(per_tile, 256 * kKiB) << per_tile / kKiB << " KiB per tile";
 }
 
 // Building the 64-core die's model afresh and taking one sparse
@@ -294,9 +295,9 @@ TEST_F(Footprint, FusedOperatorKeepsOnlyPackedMatrices) {
   EXPECT_LT(bytes, packed + 2 * dense + 2 * kKiB) << bytes << " bytes";
 }
 
-// A single-core System with its model cached: the core (L2 tag store
-// 512 KiB, L1s 16 KiB each, no tournament tables under gshare), trace,
-// sensors, power model and the 28-node solver.
+// A single-core System with its model cached, 183 KiB: the core (L2 tag
+// store 132 KiB, L1s 4.5 KiB each, no tournament tables under gshare),
+// trace, sensors, power model and the 28-node solver.
 TEST_F(Footprint, SingleCoreSystem) {
   const sim::SimConfig cfg = sim::default_sim_config();
   (void)sim::ModelCache::global().get(cfg);
@@ -304,7 +305,7 @@ TEST_F(Footprint, SingleCoreSystem) {
   const std::uint64_t before = allocated_bytes();
   const sim::System system(workload::spec2000_profile("gzip"), cfg, nullptr);
   const std::uint64_t bytes = allocated_bytes() - before;
-  EXPECT_LT(bytes, 640 * kKiB) << bytes / kKiB << " KiB";
+  EXPECT_LT(bytes, 256 * kKiB) << bytes / kKiB << " KiB";
 }
 
 }  // namespace

@@ -61,6 +61,8 @@ TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(Cache({1024, 60, 2}), std::invalid_argument);
   EXPECT_THROW(Cache({1024, 64, 0}), std::invalid_argument);
   EXPECT_THROW(Cache({1000, 64, 3}), std::invalid_argument);
+  EXPECT_NO_THROW(Cache({255 * 64, 64, 255}));
+  EXPECT_THROW(Cache({256 * 64, 64, 256}), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------- tlb

@@ -3,6 +3,8 @@
 // guard, and chaos recovery of the on-disk store (corruption quarantine,
 // warm restart, bit-identical reproduction).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -43,9 +45,28 @@ SimConfig short_config() {
   return cfg;
 }
 
-/// Fresh per-test directory under the gtest temp root.
+/// This process's directory under the gtest temp root, removed at exit.
+/// One per process: ctest runs each test on its own and recovery_suite
+/// runs them all again, at the same time.
+const fs::path& process_dir() {
+  struct Dir {
+    fs::path path = fs::path(::testing::TempDir()) /
+                    ("hydra-recovery-" + std::to_string(::getpid()));
+    Dir() = default;
+    Dir(const Dir&) = delete;
+    Dir& operator=(const Dir&) = delete;
+    ~Dir() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
+
+/// Fresh per-test directory in this process's directory.
 std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
+  const fs::path dir = process_dir() / name;
   std::error_code ec;
   fs::remove_all(dir, ec);
   return dir.string();
@@ -465,6 +486,67 @@ TEST(PersistentCache, EvictionIsNotALostPublish) {
   PersistentRunCache store(opts);
   EXPECT_EQ(store.stats().lost_publishes, 0u);
   EXPECT_GT(store.stats().recovered, 0u);
+}
+
+struct FileId {
+  ino_t inode = 0;
+  std::int64_t mtime_ns = 0;
+};
+
+FileId file_id(const fs::path& p) {
+  struct stat st {};
+  EXPECT_EQ(::stat(p.c_str(), &st), 0) << p;
+  return {st.st_ino,
+          static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+              st.st_mtim.tv_nsec};
+}
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Opening a store whose journal is already compact leaves manifest.log
+// untouched; a journal out of key order, with an `E` line or with a torn
+// tail is rewritten, through a temp file and so to a new inode.
+TEST(PersistentCache, OpenRewritesOnlyAJournalThatIsNotCompact) {
+  const std::string dir = fresh_dir("pc_compact_journal");
+  const fs::path manifest = fs::path(dir) / "manifest.log";
+  PersistentRunCache::Options opts;
+  opts.dir = dir;
+  {
+    PersistentRunCache store(opts);
+    store.save(7, tiny_result("seven"));
+    store.save(3, tiny_result("three"));
+  }
+  const FileId published = file_id(manifest);
+  { PersistentRunCache store(opts); }
+  const FileId compacted = file_id(manifest);
+  EXPECT_NE(compacted.inode, published.inode);
+  const std::string compact = slurp(manifest);
+  ASSERT_EQ(compact.size(), 2 * 36u);
+  EXPECT_EQ(compact.substr(0, 18), "P 0000000000000003");
+
+  {
+    PersistentRunCache store(opts);
+    EXPECT_EQ(store.stats().recovered, 2u);
+  }
+  const FileId reopened = file_id(manifest);
+  EXPECT_EQ(reopened.inode, compacted.inode);
+  EXPECT_EQ(reopened.mtime_ns, compacted.mtime_ns);
+  EXPECT_EQ(slurp(manifest), compact);
+
+  for (const char* tail : {"E 0000000000000005\n", "P 0123"}) {
+    std::ofstream(manifest, std::ios::app | std::ios::binary) << tail;
+    const FileId dirty = file_id(manifest);
+    {
+      PersistentRunCache store(opts);
+      EXPECT_EQ(store.stats().recovered, 2u);
+      EXPECT_EQ(store.stats().lost_publishes, 0u);
+    }
+    EXPECT_NE(file_id(manifest).inode, dirty.inode) << tail;
+    EXPECT_EQ(slurp(manifest), compact) << tail;
+  }
 }
 
 TEST(PersistentCache, WarmRestartServesEverythingFromDisk) {
