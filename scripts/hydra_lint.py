@@ -20,8 +20,8 @@ Rules (each has a stable id used in the allowlist):
 * ``no-per-cycle-loop`` — looping over ``idle_cycle()`` outside the
   core itself reintroduces the O(n) idle path that
   ``Core::idle_cycles(n)`` replaced; call the bulk advance instead.
-  (System keeps one reference loop for the bit-identity check — it is
-  allowlisted.)
+  (sim::Tile keeps one reference loop for the bit-identity check — it
+  is allowlisted.)
 * ``no-unaligned-simd-load`` — raw vector load/store intrinsics
   (``_mm256_loadu_pd``, ``vld1q_f64``, ...) may appear only inside the
   ``src/thermal/simd`` shim.  The shim centralises runtime dispatch, the

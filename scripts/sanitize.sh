@@ -3,7 +3,8 @@
 # under the sanitizers. ASan+UBSan catches lifetime/UB bugs in the
 # engine's caches and the SIMD kernels (simd_test under the perf label
 # covers the packed loads); TSan catches data races in the thread pool,
-# RunCache, LuCache, and the persistent store's recovery/eviction paths
+# RunCache, LuCache, the die's tiles stepping on pool workers
+# (multicore_test), and the persistent store's recovery/eviction paths
 # (the chaos test in recovery_test corrupts and re-opens the store
 # under load). alloc_test, also under perf, checks the hot paths stay
 # allocation-free in both sanitized builds.

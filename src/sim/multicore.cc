@@ -1,100 +1,18 @@
 #include "sim/multicore.h"
 
 #include <algorithm>
-#include <cmath>
+#include <climits>
 #include <stdexcept>
 
 #include "floorplan/ev7.h"
-#include "floorplan/multicore.h"
 #include "obs/obs.h"
 
 namespace hydra::sim {
 namespace {
 
 constexpr double kEps = 1e-12;
-constexpr double kSimUs = 1e6;
-constexpr std::size_t kNoThread = static_cast<std::size_t>(-1);
-
-inline bool sim_trace_on(const obs::Tracer& tracer, std::uint32_t lane) {
-  return tracer.enabled() && lane != obs::SimLaneScope::kNoLane;
-}
 
 }  // namespace
-
-/// All per-tile state. Everything here is tile-local: during the
-/// parallel phase a tile is touched by exactly one worker, and the
-/// barrier phase runs single-threaded, so no field needs atomics.
-struct MulticoreSystem::Tile {
-  Tile(const arch::CoreConfig& core_cfg, arch::TraceSource& trace,
-       const sensor::SensorConfig& sensor_cfg,
-       std::unique_ptr<core::DtmPolicy> pol)
-      : core(core_cfg, trace),
-        sensors(floorplan::kNumBlocks, sensor_cfg),
-        policy(std::move(pol)),
-        guard(dynamic_cast<core::GuardedPolicy*>(policy.get())) {
-    watts.resize(floorplan::kNumBlocks);
-    temps_slice.resize(floorplan::kNumBlocks);
-    sample.sensed_celsius.reserve(floorplan::kNumBlocks);
-  }
-
-  arch::Core core;
-  sensor::SensorBank sensors;
-  std::unique_ptr<core::DtmPolicy> policy;
-  core::GuardedPolicy* guard = nullptr;
-
-  std::size_t index = 0;
-  std::size_t thread = kNoThread;  ///< bound software thread (kNoThread=idle)
-
-  // Tile-local event machinery (mirrors the single-core System's).
-  double t = 0.0;
-  double next_sensor_t = 0.0;
-  double freq_hz = 0.0;
-  std::size_t dvs_level = 0;
-  std::size_t pending_level = 0;
-  bool transition_active = false;
-  double transition_end_t = 0.0;
-  bool clock_gate_requested = false;
-  bool clock_gate_on = false;
-  double quantum_end_t = 0.0;
-  double gate_fraction = 0.0;
-  double issue_gate_fraction = 0.0;
-  std::size_t requested_dvs = 0;   ///< last composed level (global-DVS mode)
-  std::uint64_t stall_cycles = 0;  ///< pending migration context-switch stall
-  double pending_flush_j = 0.0;    ///< migration flush energy, next interval
-
-  // Scratch reused every interval (the tile phase never allocates).
-  std::vector<double> watts;        ///< interval-average block power [W]
-  std::vector<double> temps_slice;  ///< frozen tile temperatures [deg C]
-  core::ThermalSample sample;
-  arch::ActivityFrame probe_frame;  ///< steady-state init activity
-
-  // Measurement accumulators. The doubles accumulate in the tile phase;
-  // max_true and the migration counters are barrier-phase only.
-  double gate_weighted = 0.0;
-  double issue_gate_weighted = 0.0;
-  double dvs_low = 0.0;
-  double clock_gated = 0.0;
-  double occupied_wall = 0.0;
-  double failsafe_wall = 0.0;
-  double max_true = 0.0;
-  std::uint64_t idle_cycles = 0;
-  std::size_t transitions = 0;
-  std::uint64_t migrations_in = 0;
-  std::uint64_t migrations_out = 0;
-  std::uint64_t start_committed = 0;
-  std::uint64_t start_cycles = 0;
-  std::uint32_t lane = obs::SimLaneScope::kNoLane;
-
-  void reset_measure() {
-    gate_weighted = issue_gate_weighted = dvs_low = clock_gated = 0.0;
-    occupied_wall = failsafe_wall = max_true = 0.0;
-    idle_cycles = 0;
-    transitions = 0;
-    migrations_in = migrations_out = 0;
-    start_committed = core.committed();
-    start_cycles = core.cycles();
-  }
-};
 
 MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
                                  const SimConfig& cfg, PolicyFactory factory,
@@ -102,10 +20,7 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
     : cfg_(cfg),
       shared_(ModelCache::global().get(cfg)),
       model_(shared_->model),
-      unit_fp_(floorplan::ev7_floorplan()),
-      vf_curve_(cfg.v_nominal, cfg.f_nominal, cfg.v_threshold, cfg.vf_alpha),
-      ladder_(vf_curve_, cfg.dvs_steps, cfg.v_low_fraction),
-      power_(unit_fp_, power::EnergyModel()),
+      env_(cfg_, floorplan::ev7_floorplan()),
       solver_(model_.network, cfg.package.ambient,
               cfg.fused_thermal ? thermal::Scheme::kFusedBE
                                 : thermal::Scheme::kBackwardEuler,
@@ -118,9 +33,10 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
         m.trigger = cfg.thresholds.trigger;
         return m;
       }()),
-      arbiter_(cfg.multicore.arbiter, cfg.multicore.cores, ladder_.size()),
+      arbiter_(cfg.multicore.arbiter, cfg.multicore.cores, env_.ladder.size()),
       benchmark_name_(profile.name),
-      policy_name_(std::move(policy_name)) {
+      policy_name_(std::move(policy_name)),
+      probe_instructions_(probe_instructions(cfg, profile)) {
   const std::size_t cores = cfg_.multicore.cores;
   if (cores == 0) {
     throw std::invalid_argument("multicore.cores must be >= 1");
@@ -147,17 +63,13 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
 
   tiles_.reserve(cores);
   for (std::size_t t = 0; t < cores; ++t) {
-    sensor::SensorConfig scfg = cfg_.sensor;
-    scfg.seed = cfg_.sensor.seed + t;  // independent per-tile noise
     // Idle tiles get a trace bound too (Core requires one) but never
     // fetch from it: unoccupied tiles only ever advance via idle cycles.
     workload::SyntheticTrace& trace =
         t < n_threads ? *threads_[t] : *threads_[0];
-    auto tile = std::make_unique<Tile>(
-        cfg_.core, trace, scfg, factory ? factory() : nullptr);
-    tile->index = t;
-    if (t < n_threads) tile->thread = t;
-    tile->freq_hz = ladder_.point(0).frequency.value();
+    auto tile = std::make_unique<Tile>(env_, t, trace,
+                                       factory ? factory() : nullptr);
+    tile->thread = t < n_threads ? t : Tile::kNoThread;
     tiles_.push_back(std::move(tile));
   }
   if (policy_name_.empty()) {
@@ -177,27 +89,16 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
     pool_ = owned_pool_.get();
   }
 
-  sensor_period_s_ =
-      1.0 / (cfg_.sensor.sample_rate.value() * cfg_.time_scale);
-  switch_time_s_ = cfg_.dvs_switch_time.value() / cfg_.time_scale;
-  gate_quantum_ = cfg_.clock_gate_quantum.value() / cfg_.time_scale;
   interval_dt_ = static_cast<double>(cfg_.thermal_interval_cycles) /
                  cfg_.f_nominal.value();
   power_scale_ = 1.0 / static_cast<double>(cores);
 
-  die_watts_.resize(cores * floorplan::kNumBlocks);
-  expanded_.resize(model_.network.size());
-  use_sparse_ = thermal::use_sparse_step(model_.network.size());
+  scratch_.die_watts.resize(cores * floorplan::kNumBlocks);
+  scratch_.expanded.resize(model_.network.size());
   acc_.block_temp_weighted.assign(cores * floorplan::kNumBlocks, 0.0);
   tile_states_.resize(cores);
   tile_power_.assign(cores, util::Watts{0.0});
   tile_occupied_.assign(cores, false);
-
-  probe_auto_instructions_ = 0;
-  for (const workload::PhaseSpec& ph : profile.phases) {
-    probe_auto_instructions_ += ph.length_instructions;
-  }
-  if (probe_auto_instructions_ == 0) probe_auto_instructions_ = 300'000;
 }
 
 MulticoreSystem::~MulticoreSystem() = default;
@@ -211,218 +112,51 @@ std::uint64_t MulticoreSystem::total_committed() const {
 void MulticoreSystem::initialize_thermal_state() {
   // Probe every occupied tile's representative activity (in parallel —
   // probing is tile-local), then solve the die-level power <->
-  // temperature fixed point exactly as the single-core System does.
-  std::uint64_t probe = cfg_.activity_probe_instructions;
-  if (probe == 0) {
-    probe = std::min<std::uint64_t>(probe_auto_instructions_, 2'000'000);
-  }
-  const auto probe_tile = [this, probe](std::size_t i) {
-    Tile& tile = *tiles_[i];
-    if (tile.thread == kNoThread) {
-      tile.probe_frame = arch::ActivityFrame{};
-      return;
-    }
-    const std::uint64_t start = tile.core.committed();
-    while (tile.core.committed() < start + probe / 3) tile.core.cycle();
-    tile.core.take_interval_activity();
-    while (tile.core.committed() < start + probe / 3 + probe) {
-      tile.core.cycle();
-    }
-    tile.probe_frame = tile.core.take_interval_activity();
+  // temperature fixed point.
+  const auto probe_tile = [this](std::size_t i) {
+    tiles_[i]->probe(probe_instructions_);
   };
   if (pool_ == nullptr) {
     for (std::size_t i = 0; i < tiles_.size(); ++i) probe_tile(i);
   } else {
     pool_->for_each_index(tiles_.size(), probe_tile);
   }
-
-  const util::Celsius ambient = cfg_.package.ambient;
-  init_temps_.assign(model_.network.size(), ambient.value() + 30.0);
-  const auto& nominal = ladder_.point(0);
-  const thermal::LuFactorization* g_lu = nullptr;
-  const thermal::SparseCholesky* g_chol = nullptr;
-  if (use_sparse_) {
-    g_chol = &shared_->lu_cache->steady_sparse();
-  } else {
-    g_lu = &shared_->lu_cache->steady();
-  }
-  for (int iter = 0; iter < 10; ++iter) {
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      Tile& tile = *tiles_[t];
-      const std::size_t base = t * floorplan::kNumBlocks;
-      for (std::size_t b = 0; b < floorplan::kNumBlocks; ++b) {
-        tile.temps_slice[b] = init_temps_[base + b];
-      }
-      power_.block_power_into(tile.probe_frame, nominal.voltage,
-                              nominal.frequency, tile.temps_slice,
-                              tile.watts);
-      for (std::size_t b = 0; b < floorplan::kNumBlocks; ++b) {
-        die_watts_[base + b] = tile.watts[b] * power_scale_;
-      }
-    }
-    model_.expand_power_into(die_watts_, expanded_);
-    if (use_sparse_) {
-      thermal::steady_state_into(*g_chol, expanded_, ambient, init_temps_,
-                                 steady_work_);
-    } else {
-      thermal::steady_state_into(*g_lu, expanded_, ambient, init_temps_);
-    }
-  }
+  steady_state_temperatures(*shared_, tiles_, power_scale_, scratch_,
+                            init_temps_);
   solver_.set_temperatures(init_temps_);
 
   t_ = 0.0;
   global_dvs_floor_ = 0;
-  for (auto& tile : tiles_) {
-    tile->t = 0.0;
-    tile->next_sensor_t = sensor_period_s_;
-  }
+  for (auto& tile : tiles_) tile->start();
 }
 
-void MulticoreSystem::apply_tile_dvs(Tile& tile, std::size_t level) {
-  tile.dvs_level = level;
-  tile.freq_hz = ladder_.point(level).frequency.value();
-  tile.core.set_frequency(tile.freq_hz);
-}
-
-double MulticoreSystem::tile_next_event(const Tile& tile) const {
-  double next_event = tile.next_sensor_t;
-  if (tile.transition_active) {
-    next_event = std::min(next_event, tile.transition_end_t);
-  }
-  if (tile.clock_gate_on || tile.clock_gate_requested) {
-    next_event = std::min(next_event, tile.quantum_end_t);
-  }
-  return next_event;
-}
-
-void MulticoreSystem::tile_sensor_event(Tile& tile, bool measure) {
-  core::DtmCommand cmd{};
-  if (tile.policy) {
-    tile.sensors.sample_into(tile.temps_slice, tile.sample.sensed_celsius);
-    tile.sample.max_sensed = util::Celsius(
-        *std::max_element(tile.sample.sensed_celsius.begin(),
-                          tile.sample.sensed_celsius.end()));
-    tile.sample.time = util::Seconds(tile.t);
-    cmd = tile.policy->update(tile.sample);
-  }
-
-  // Compose the local command with the die-level floors from the last
-  // barrier: the more aggressive actuation wins. In global-DVS mode the
-  // die additionally never runs below the maximum level any tile
-  // requested as of that barrier.
-  double gate = cmd.fetch_gate_fraction;
-  std::size_t level = cmd.dvs_level;
-  if (arbiter_.enabled()) {
-    const core::ArbiterCommand& arb = arbiter_.commands()[tile.index];
-    gate = std::max(gate, arb.fetch_gate_floor);
-    level = std::max(level, arb.dvs_floor);
-  }
-  tile.requested_dvs = level;
-  if (!cfg_.multicore.per_core_dvs) {
-    level = std::max(level, global_dvs_floor_);
-  }
-
-  tile.gate_fraction = gate;
-  tile.core.set_fetch_gate_fraction(gate);
-  tile.issue_gate_fraction = cmd.issue_gate_fraction;
-  tile.core.set_issue_gate_fraction(cmd.issue_gate_fraction);
-
-  tile.clock_gate_requested = cmd.clock_gate;
-  if (tile.clock_gate_requested && !tile.clock_gate_on) {
-    tile.clock_gate_on = true;
-    tile.quantum_end_t = tile.t + gate_quantum_;
-  } else if (!tile.clock_gate_requested) {
-    tile.clock_gate_on = false;
-  }
-
-  if (!tile.transition_active && level != tile.dvs_level) {
-    if (level >= ladder_.size()) {
-      throw std::out_of_range("policy requested DVS level beyond ladder");
-    }
-    tile.pending_level = level;
-    tile.transition_active = true;
-    tile.transition_end_t = tile.t + switch_time_s_;
-    if (measure) ++tile.transitions;
-  }
-  tile.next_sensor_t += sensor_period_s_;
-}
-
-void MulticoreSystem::step_tile(std::size_t t, double t_end, bool measure) {
-  Tile& tile = *tiles_[t];
+void MulticoreSystem::step_tile(std::size_t i, double t_end, bool measure) {
+  Tile& tile = *tiles_[i];
+  // Policies trace to the calling thread's sim lane: this tile's.
+  const obs::SimLaneScope lane(tile.lane);
   // Freeze this tile's temperatures for the interval: the solver only
   // advances at barriers, so this is the same fidelity as the
   // single-core System (which also samples interval-boundary state).
   const thermal::Vector& temps = solver_.temperatures();
-  const std::size_t base = t * floorplan::kNumBlocks;
-  for (std::size_t b = 0; b < floorplan::kNumBlocks; ++b) {
-    tile.temps_slice[b] = temps[base + b];
-  }
+  std::copy_n(temps.begin() +
+                  static_cast<std::ptrdiff_t>(i * floorplan::kNumBlocks),
+              floorplan::kNumBlocks, tile.temps_slice.begin());
+  const DieFloors floors{arbiter_.commands()[i], global_dvs_floor_};
 
+  double next_event = tile.next_event();
   while (tile.t < t_end - kEps) {
-    const double bound = std::min(tile_next_event(tile), t_end);
-    long long n =
-        static_cast<long long>(std::ceil((bound - tile.t) * tile.freq_hz));
-    if (n < 1) n = 1;
-    n = std::min<long long>(n, 4096);
-
-    const bool occupied = tile.thread != kNoThread;
-    const bool stalled = tile.transition_active && cfg_.dvs_stall;
-    if (tile.stall_cycles > 0) {
-      // Migration context switch: both endpoints burn clocked-idle
-      // cycles (the pipeline drains / refills; the clock tree runs).
-      const long long m = std::min<long long>(
-          n, static_cast<long long>(tile.stall_cycles));
-      tile.core.idle_cycles(static_cast<std::uint64_t>(m), true);
-      tile.stall_cycles -= static_cast<std::uint64_t>(m);
-      n = m;
-      if (measure) tile.idle_cycles += static_cast<std::uint64_t>(m);
-    } else if (tile.clock_gate_on || stalled || !occupied) {
-      // An unoccupied tile is clock-gated silicon: no thread, no clock
-      // tree — only leakage (which the power model charges from its
-      // temperatures regardless of activity).
-      const bool clocked = !tile.clock_gate_on && occupied;
-      tile.core.idle_cycles(static_cast<std::uint64_t>(n), clocked);
-      if (measure) tile.idle_cycles += static_cast<std::uint64_t>(n);
-    } else {
-      for (long long i = 0; i < n; ++i) tile.core.cycle();
-    }
-
-    const double dt = static_cast<double>(n) / tile.freq_hz;
-    tile.t += dt;
-    if (measure) {
-      tile.gate_weighted += tile.gate_fraction * dt;
-      tile.issue_gate_weighted += tile.issue_gate_fraction * dt;
-      if (tile.dvs_level != 0) tile.dvs_low += dt;
-      if (tile.clock_gate_on) tile.clock_gated += dt;
-      if (occupied) tile.occupied_wall += dt;
-      if (tile.guard && tile.guard->failsafe_engaged()) {
-        tile.failsafe_wall += dt;
-      }
-    }
-
-    if (tile.transition_active && tile.t >= tile.transition_end_t - kEps) {
-      tile.transition_active = false;
-      apply_tile_dvs(tile, tile.pending_level);
-    }
-    if ((tile.clock_gate_on || tile.clock_gate_requested) &&
-        tile.t >= tile.quantum_end_t - kEps) {
-      tile.clock_gate_on = !tile.clock_gate_on && tile.clock_gate_requested;
-      tile.quantum_end_t = tile.t + gate_quantum_;
-    }
-    if (tile.t >= tile.next_sensor_t - kEps) {
-      tile_sensor_event(tile, measure);
+    tile.advance(chunk_cycles(std::min(next_event, t_end), tile.t,
+                              tile.freq_hz, LLONG_MAX),
+                 measure);
+    if (tile.fire_events(tile.temps_slice, floors, measure)) {
+      next_event = tile.next_event();
     }
   }
 
-  // Interval-average power at the tile's current operating point; tile
-  // watts scale by 1/cores (the tile is a 1/cores shrink of the unit
-  // core). Any migration flush energy is spread across the tile's
+  // Tile watts scale by 1/cores (the tile is a 1/cores shrink of the
+  // unit core). Any migration flush energy is spread across the tile's
   // blocks over this interval.
-  const arch::ActivityFrame frame = tile.core.take_interval_activity();
-  const auto& op = ladder_.point(tile.dvs_level);
-  power_.block_power_into(frame, op.voltage, op.frequency, tile.temps_slice,
-                          tile.watts);
-  for (double& w : tile.watts) w *= power_scale_;
+  tile.interval_power(tile.temps_slice, power_scale_);
   if (tile.pending_flush_j > 0.0) {
     const double w_flush =
         tile.pending_flush_j /
@@ -442,7 +176,7 @@ void MulticoreSystem::apply_migration(const core::MigrationDecision& d) {
   src.core.flush_pipeline();
   dst.core.set_trace(*threads_[src.thread]);
   dst.thread = src.thread;
-  src.thread = kNoThread;
+  src.thread = Tile::kNoThread;
   const std::uint64_t cost = migration_.config().cost_cycles;
   src.stall_cycles += cost;
   dst.stall_cycles += cost;
@@ -470,15 +204,14 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
 
     // Barrier phase (single-threaded, ascending tile order throughout —
     // every floating-point reduction below is order-fixed).
+    std::vector<double>& die_watts = scratch_.die_watts;
     for (std::size_t t = 0; t < cores; ++t) {
-      const Tile& tile = *tiles_[t];
-      const std::size_t base = t * floorplan::kNumBlocks;
-      for (std::size_t b = 0; b < floorplan::kNumBlocks; ++b) {
-        die_watts_[base + b] = tile.watts[b];
-      }
+      std::copy(tiles_[t]->watts.begin(), tiles_[t]->watts.end(),
+                die_watts.begin() +
+                    static_cast<std::ptrdiff_t>(t * floorplan::kNumBlocks));
     }
-    model_.expand_power_into(die_watts_, expanded_);
-    solver_.step(expanded_, util::Seconds(interval_dt_));
+    model_.expand_power_into(die_watts, scratch_.expanded);
+    solver_.step(scratch_.expanded, util::Seconds(interval_dt_));
     t_ = t_end;
 
     const thermal::Vector& temps = solver_.temperatures();
@@ -492,15 +225,11 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
         tmax = std::max(tmax, temps[base + b]);
       }
       tile_states_[t].tmax = util::Celsius(tmax);
-      tile_states_[t].occupied = tile.thread != kNoThread;
+      tile_states_[t].occupied = tile.thread != Tile::kNoThread;
       tile_occupied_[t] = tile_states_[t].occupied;
       die_max = std::max(die_max, tmax);
       tile_min_max = t == 0 ? tmax : std::min(tile_min_max, tmax);
-      if (measure) tile.max_true = std::max(tile.max_true, tmax);
-      if (sim_trace_on(tracer, tile.lane)) {
-        tracer.counter(tile.lane, obs::TimeDomain::kSim, "Tmax_celsius",
-                       t_ * kSimUs, tmax);
-      }
+      tile.note_tmax(tmax, t_, measure);
     }
     // Now that the die temperature moved, fill in the after-temperature
     // of migrations applied at earlier barriers.
@@ -511,7 +240,7 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
     }
 
     double total_watts = 0.0;
-    for (double w : die_watts_) total_watts += w;
+    for (double w : die_watts) total_watts += w;
 
     if (measure) {
       const double dt = interval_dt_;
@@ -523,7 +252,7 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
       acc_.energy_j += total_watts * dt;
       acc_.max_true = std::max(acc_.max_true, die_max);
       acc_.spread_weighted += (die_max - tile_min_max) * dt;
-      for (std::size_t i = 0; i < die_watts_.size(); ++i) {
+      for (std::size_t i = 0; i < die_watts.size(); ++i) {
         acc_.block_temp_weighted[i] += temps[i] * dt;
       }
     }
@@ -536,8 +265,8 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
       if (d.migrate) {
         apply_migration(d);
         if (measure) {
-          ++tiles_[d.from]->migrations_out;
-          ++tiles_[d.to]->migrations_in;
+          ++tiles_[d.from]->acc.migrations_out;
+          ++tiles_[d.to]->acc.migrations_in;
           MigrationEvent ev;
           ev.time_seconds = t_;
           ev.from = d.from;
@@ -551,7 +280,7 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
         migration_counter.add();
         if (tracer.enabled() && die_lane_ != obs::SimLaneScope::kNoLane) {
           tracer.instant(die_lane_, obs::TimeDomain::kSim, "multicore",
-                         "thread_migration", t_ * kSimUs, "from",
+                         "thread_migration", t_ * 1e6, "from",
                          static_cast<double>(d.from), "to",
                          static_cast<double>(d.to));
         }
@@ -617,8 +346,8 @@ MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
   acc_.start_committed = total_committed();
   std::uint64_t start_cycles = 0;
   for (auto& tile : tiles_) {
-    tile->reset_measure();
-    start_cycles += tile->start_cycles;
+    tile->begin_measure();
+    start_cycles += tile->acc.start_cycles;
   }
   acc_.start_cycles = start_cycles;
 
@@ -639,7 +368,7 @@ MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
   std::uint64_t idle = 0;
   for (const auto& tile : tiles_) {
     cycles += tile->core.cycles();
-    idle += tile->idle_cycles;
+    idle += tile->acc.idle_cycles;
   }
   r.cycles = cycles - acc_.start_cycles;
   r.ipc = r.cycles == 0 ? 0.0
@@ -657,11 +386,11 @@ MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
     double gate_w = 0.0, issue_w = 0.0, dvs_w = 0.0, cg_w = 0.0;
     double fs_w = 0.0;
     for (const auto& tile : tiles_) {
-      gate_w += tile->gate_weighted;
-      issue_w += tile->issue_gate_weighted;
-      dvs_w += tile->dvs_low;
-      cg_w += tile->clock_gated;
-      fs_w += tile->failsafe_wall;
+      gate_w += tile->acc.gate_weighted;
+      issue_w += tile->acc.issue_gate_weighted;
+      dvs_w += tile->acc.dvs_low;
+      cg_w += tile->acc.clock_gated;
+      fs_w += tile->acc.failsafe;
     }
     // Per-tile fractions average over ALL tiles (idle tiles dilute —
     // they really are un-throttled silicon on this die).
@@ -684,7 +413,7 @@ MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
         static_cast<double>(idle) / static_cast<double>(r.cycles);
   }
   std::size_t transitions = 0;
-  for (const auto& tile : tiles_) transitions += tile->transitions;
+  for (const auto& tile : tiles_) transitions += tile->acc.transitions;
   r.dvs_transitions = transitions;
   r.thread_migrations = migration_events_.size();
   r.solver_guard_trips = solver_.fused_guard_trips() - guard_trips_before;
@@ -697,22 +426,23 @@ MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
 
   out.per_core.reserve(cores);
   for (const auto& tile : tiles_) {
+    const Tile::Accum& ta = tile->acc;
     CoreRunStats s;
     s.tile = tile->index;
-    s.instructions = tile->core.committed() - tile->start_committed;
-    s.cycles = tile->core.cycles() - tile->start_cycles;
+    s.instructions = tile->core.committed() - ta.start_committed;
+    s.cycles = tile->core.cycles() - ta.start_cycles;
     s.ipc = s.cycles == 0 ? 0.0
                           : static_cast<double>(s.instructions) /
                                 static_cast<double>(s.cycles);
-    s.max_true_celsius = tile->max_true;
+    s.max_true_celsius = ta.max_true;
     if (wall > 0.0) {
-      s.mean_gate_fraction = tile->gate_weighted / wall;
-      s.dvs_low_fraction = tile->dvs_low / wall;
-      s.occupied_fraction = tile->occupied_wall / wall;
+      s.mean_gate_fraction = ta.gate_weighted / wall;
+      s.dvs_low_fraction = ta.dvs_low / wall;
+      s.occupied_fraction = ta.occupied_wall / wall;
     }
-    s.dvs_transitions = tile->transitions;
-    s.migrations_in = tile->migrations_in;
-    s.migrations_out = tile->migrations_out;
+    s.dvs_transitions = ta.transitions;
+    s.migrations_in = ta.migrations_in;
+    s.migrations_out = ta.migrations_out;
     out.per_core.push_back(s);
   }
   out.migrations = migration_events_;

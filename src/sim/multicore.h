@@ -2,12 +2,13 @@
 //
 // Generalises the single-core System to an N-core chip. All tiles share
 // one thermal model (the tiled floorplan from floorplan/multicore.h) and
-// one die-level solver; each tile carries its own out-of-order core, its
-// own 18-sensor bank, and its own DTM policy instance — DTM stays local,
-// as in the paper, while three die-level mechanisms compose on top:
-// per-core (or barrier-synchronised global) DVS domains, a thermal-aware
-// thread-migration policy (core/migration_policy.h), and a global
-// power-budget arbiter (core/budget_arbiter.h).
+// one die-level solver; each tile is a sim::Tile (sim/tile.h), the same
+// core + 18-sensor bank + DTM policy + actuator state machine System
+// steps, so DTM stays local, as in the paper, while three die-level
+// mechanisms compose on top: per-core (or barrier-synchronised global)
+// DVS domains, a thermal-aware thread-migration policy
+// (core/migration_policy.h), and a global power-budget arbiter
+// (core/budget_arbiter.h).
 //
 // Intra-run parallelism contract (DESIGN.md section 15): the run
 // advances in wall-synchronous thermal intervals of
@@ -15,22 +16,24 @@
 // interval every tile is stepped independently — a tile's sub-loop
 // touches only tile-local state plus *frozen* shared state (the solver
 // temperatures, the arbiter commands and the global DVS floor from the
-// last barrier) — so tiles may execute on any number of pool workers.
-// At the barrier, all cross-tile work (power gather, the thermal step,
-// migration, arbitration) runs on the calling thread in ascending tile
-// order. Results are therefore bit-identical at any
-// `multicore.threads` / HYDRA_THREADS width (multicore_test asserts it).
+// last barrier) — so tiles may execute on any number of pool workers,
+// each under its own tile's trace lane. At the barrier, all cross-tile
+// work (power gather, the thermal step, migration, arbitration) runs on
+// the calling thread in ascending tile order. Results are therefore
+// bit-identical at any `multicore.threads` / HYDRA_THREADS width
+// (multicore_test asserts it).
 //
-// Fidelity deviations from the single-core System, all deliberate:
+// Deviations from the single-core System, all deliberate:
 //  * Each tile runs n ~= dt * f_tile cycles per interval, so tiles at
 //    different DVS levels advance different cycle counts per barrier —
 //    the thermal step sees every tile's true interval-average power.
 //  * Measurement and run-length checks quantise to interval boundaries
 //    (the single-core System stops within a 4096-cycle chunk).
+//  * Gate duty integrates per chunk (System: per thermal interval).
 //  * In global-DVS mode the shared level is the max level any tile
 //    requested as of the last barrier (one-interval response lag).
 //  * Sensor fault campaigns are not supported (cores > 1 + a non-empty
-//    campaign throws): the fault engine is single-die-bank scoped.
+//    campaign throws): a campaign names one die-wide sensor bank.
 #pragma once
 
 #include <cstdint>
@@ -39,18 +42,15 @@
 #include <string>
 #include <vector>
 
-#include "arch/core.h"
 #include "core/budget_arbiter.h"
 #include "core/dtm_policy.h"
-#include "core/guarded_policy.h"
 #include "core/migration_policy.h"
 #include "obs/trace.h"
-#include "power/power_model.h"
 #include "power/voltage_freq.h"
-#include "sensor/sensor.h"
 #include "sim/model_cache.h"
 #include "sim/sim_config.h"
 #include "sim/system.h"
+#include "sim/tile.h"
 #include "thermal/solver.h"
 #include "util/cancel.h"
 #include "util/thread_pool.h"
@@ -114,34 +114,25 @@ class MulticoreSystem {
   MulticoreResult run(const util::CancelToken* cancel = nullptr);
 
   std::size_t cores() const { return tiles_.size(); }
-  const power::DvsLadder& ladder() const { return ladder_; }
+  const power::DvsLadder& ladder() const { return env_.ladder; }
 
  private:
-  struct Tile;
-
   void initialize_thermal_state();
   /// Advance whole thermal intervals until `total_committed() >=
   /// target`. The master clock, solver and all cross-tile policies move
   /// here; per-tile stepping fans out through the worker pool.
   void advance_intervals(std::uint64_t target_committed, bool measure);
-  /// Tile-local sub-loop: advance tile `t` to master time `t_end`,
-  /// handling its sensor/DVS/clock-gate events, then compute its
-  /// interval-average block power into tile scratch. Runs concurrently
+  /// Advance tile `i` to master time `t_end` under its own trace lane,
+  /// then compute its interval-average block power. Runs concurrently
   /// across tiles; touches only tile state and frozen shared state.
-  void step_tile(std::size_t t, double t_end, bool measure);
-  void tile_sensor_event(Tile& tile, bool measure);
-  void apply_tile_dvs(Tile& tile, std::size_t level);
-  double tile_next_event(const Tile& tile) const;
+  void step_tile(std::size_t i, double t_end, bool measure);
   std::uint64_t total_committed() const;
   void apply_migration(const core::MigrationDecision& d);
 
   SimConfig cfg_;
   std::shared_ptr<const SharedModel> shared_;
   const thermal::ThermalModel& model_;
-  floorplan::Floorplan unit_fp_;  ///< single-tile ev7 unit (power/leakage)
-  power::VoltageFrequencyCurve vf_curve_;
-  power::DvsLadder ladder_;
-  power::PowerModel power_;
+  TileEnv env_;  ///< over the single-tile ev7 unit
   thermal::TransientSolver solver_;
   core::MigrationPolicy migration_;
   core::BudgetArbiter arbiter_;
@@ -154,10 +145,6 @@ class MulticoreSystem {
   util::ThreadPool* pool_ = nullptr;
   std::unique_ptr<util::ThreadPool> owned_pool_;
 
-  // Scaled event periods [s] (shared by every tile).
-  double sensor_period_s_ = 0.0;
-  double switch_time_s_ = 0.0;
-  double gate_quantum_ = 0.0;
   double interval_dt_ = 0.0;  ///< master wall seconds per thermal interval
   double power_scale_ = 1.0;  ///< 1/cores: tiles shrink with the grid
 
@@ -193,17 +180,11 @@ class MulticoreSystem {
   std::string policy_name_;
   std::uint32_t die_lane_ = obs::SimLaneScope::kNoLane;  ///< die trace lane
   const util::CancelToken* cancel_ = nullptr;
-  std::uint64_t probe_auto_instructions_ = 300'000;
-  /// Route the steady-state fixed point through the sparse Cholesky of
-  /// G when the die is past the HYDRA_SPARSE crossover (resolved once;
-  /// matches the solver's own step dispatch).
-  bool use_sparse_ = false;
+  std::uint64_t probe_instructions_ = 0;
 
   // Preallocated die-level scratch (the interval loop never allocates).
-  std::vector<double> die_watts_;
-  thermal::Vector expanded_;
+  PowerScratch scratch_;
   thermal::Vector init_temps_;
-  thermal::Vector steady_work_;  ///< sparse steady-solve scratch
   std::vector<core::TileThermalState> tile_states_;
   std::vector<util::Watts> tile_power_;
   std::vector<bool> tile_occupied_;

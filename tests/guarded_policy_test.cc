@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <tuple>
 
 #include "core/guarded_policy.h"
@@ -14,6 +15,16 @@
 #include "sim/experiment.h"
 #include "sim/system.h"
 #include "util/fields.h"
+
+namespace hydra::sim {
+// gtest prints a test parameter through a PrintTo it finds by argument
+// lookup, and ctest copies the print into the test's name. Without this
+// one (internal linkage, in the enum's own namespace) and FaultCase's
+// below, the name carries the enum's bytes and two string addresses.
+static void PrintTo(PolicyKind kind, std::ostream* os) {
+  *os << policy_kind_name(kind);
+}
+}  // namespace hydra::sim
 
 namespace hydra {
 namespace {
@@ -253,6 +264,8 @@ struct FaultCase {
   const char* name;
   const char* campaign;  ///< targets IntReg, crafty's hottest block
 };
+
+void PrintTo(const FaultCase& fc, std::ostream* os) { *os << fc.name; }
 
 constexpr FaultCase kFaultCases[] = {
     {"StuckLow", "IntReg stuck_at 0.005 inf 40\n"},

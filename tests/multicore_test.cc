@@ -1,14 +1,21 @@
 // Many-core die: tiled floorplan validity, intra-run parallelism
-// determinism (bit-identical at any worker width), the thermal-aware
-// migration property, the power-budget arbiter, and per-core vs global
-// DVS domains. Short, hot configurations: thresholds are lowered so the
-// policies actually engage within a few hundred thousand instructions.
+// determinism (bit-identical at any worker width, trace lanes included),
+// the thermal-aware migration property, the power-budget arbiter, and
+// per-core vs global DVS domains. Short, hot configurations: thresholds
+// are lowered so the policies actually engage within a few hundred
+// thousand instructions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "floorplan/ev7.h"
 #include "floorplan/multicore.h"
+#include "obs/obs.h"
 #include "sim/experiment.h"
 #include "sim/multicore.h"
 #include "sim/persistent_cache.h"
@@ -110,6 +117,86 @@ TEST(Multicore, BitIdenticalAcrossWorkerWidths) {
     EXPECT_DOUBLE_EQ(a.migrations[i].time_seconds,
                      c.migrations[i].time_seconds);
   }
+}
+
+/// Sim-domain trace rows keyed by lane name (lane ids differ from run to
+/// run), each lane's rows sorted: workers interleave their buffers.
+std::map<std::string, std::vector<std::string>> sim_rows_by_lane() {
+  std::ostringstream csv;
+  obs::tracer().write_csv(csv);
+  std::map<std::string, std::vector<std::string>> lanes;
+  std::istringstream in(csv.str());
+  std::string row;
+  std::getline(in, row);  // header: domain,lane,lane_name,phase,...
+  while (std::getline(in, row)) {
+    if (row.rfind("sim,", 0) != 0) continue;
+    const std::size_t name_at = row.find(',', 4) + 1;
+    const std::size_t rest_at = row.find(',', name_at);
+    lanes[row.substr(name_at, rest_at - name_at)].push_back(
+        row.substr(rest_at + 1));
+  }
+  for (auto& [name, rows] : lanes) std::sort(rows.begin(), rows.end());
+  return lanes;
+}
+
+std::uint64_t counter_value(const char* name) {
+  for (const auto& [n, v] : obs::metrics().scrape().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+bool has_event(const std::vector<std::string>& rows, const char* name) {
+  const std::string key = std::string(",dtm,") + name + ",";
+  return std::any_of(rows.begin(), rows.end(), [&key](const std::string& r) {
+    return r.find(key) != std::string::npos;
+  });
+}
+
+// Each tile steps under its own lane, so policy events land on the tile
+// that raised them whichever worker ran it, and the dtm.* counters the
+// single-core System reports count on the die too.
+TEST(Multicore, TileTraceIsWidthIndependent) {
+  struct Traced {
+    RunResult aggregate;
+    std::map<std::string, std::vector<std::string>> lanes;
+    std::uint64_t transitions = 0;
+    std::uint64_t engagements = 0;
+  };
+  const auto run_at_width = [](std::size_t threads, bool traced) {
+    SimConfig cfg = mc_config(4);
+    cfg.multicore.threads = threads;
+    cfg.multicore.workload_threads = 3;
+    obs::tracer().clear();
+    const std::uint64_t transitions = counter_value("dtm.dvs_transitions");
+    const std::uint64_t engagements =
+        counter_value("dtm.policy_engagements");
+    if (traced) obs::Observability::instance().enable_all();
+    MulticoreSystem system(hot_profile(), cfg, hyb_factory(cfg), "Hyb");
+    Traced out{system.run().aggregate, {}, 0, 0};
+    obs::Observability::instance().disable_all();
+    out.lanes = sim_rows_by_lane();
+    out.transitions = counter_value("dtm.dvs_transitions") - transitions;
+    out.engagements = counter_value("dtm.policy_engagements") - engagements;
+    obs::tracer().clear();
+    return out;
+  };
+  const Traced one = run_at_width(1, true);
+  const Traced four = run_at_width(4, true);
+  EXPECT_EQ(one.lanes, four.lanes);
+  for (const char* lane : {"crafty/Hyb/c0", "crafty/Hyb/c1", "crafty/Hyb/c2"}) {
+    ASSERT_EQ(one.lanes.count(lane), 1u) << lane;
+    EXPECT_TRUE(has_event(one.lanes.at(lane), "dvs_transition_start")) << lane;
+    EXPECT_TRUE(has_event(one.lanes.at(lane), "policy_engage")) << lane;
+  }
+  EXPECT_GT(one.transitions, 0u);
+  EXPECT_EQ(one.transitions, four.transitions);
+  EXPECT_GT(one.engagements, 0u);
+  EXPECT_EQ(one.engagements, four.engagements);
+  // Tracing changes no result bit.
+  const Traced plain = run_at_width(1, false);
+  EXPECT_EQ(serialize_run_result(plain.aggregate),
+            serialize_run_result(one.aggregate));
 }
 
 TEST(Multicore, AggregateMatchesSingleCoreShape) {
