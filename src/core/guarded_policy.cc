@@ -12,14 +12,14 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
-/// Sim-time DTM event on the current System's trace lane (no-op when
+/// Sim-time DTM event on the current tile's trace lane (no-op when
 /// tracing is off or no run is active on this thread).
 void guard_event(const char* name, double time_seconds, double sensor) {
   obs::Tracer& tracer = obs::tracer();
   const std::uint32_t lane = obs::SimLaneScope::current();
-  if (!tracer.enabled() || lane == obs::SimLaneScope::kNoLane) return;
+  if (!obs::sim_trace_on(tracer, lane)) return;
   tracer.instant(lane, obs::TimeDomain::kSim, "guard", name,
-                 time_seconds * 1e6, "sensor", sensor);
+                 time_seconds * obs::kSimUs, "sensor", sensor);
 }
 
 double median(std::vector<double>& xs) {

@@ -7,14 +7,14 @@
 namespace hydra::core {
 namespace {
 
-/// Escalation/release edge on the current System's sim lane.
+/// Escalation/release edge on the current tile's sim lane.
 void hybrid_event(const char* name, double time_seconds, double from,
                   double to) {
   obs::Tracer& tracer = obs::tracer();
   const std::uint32_t lane = obs::SimLaneScope::current();
-  if (!tracer.enabled() || lane == obs::SimLaneScope::kNoLane) return;
+  if (!obs::sim_trace_on(tracer, lane)) return;
   tracer.instant(lane, obs::TimeDomain::kSim, "policy", name,
-                 time_seconds * 1e6, "from", from, "to", to);
+                 time_seconds * obs::kSimUs, "from", from, "to", to);
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ void Tracer::instant(std::uint32_t lane, TimeDomain domain,
                      const char* category, const char* name, double ts_us,
                      const char* arg0_name, double arg0,
                      const char* arg1_name, double arg1) {
-  if (!enabled() || lane == SimLaneScope::kNoLane) return;
+  if (!sim_trace_on(*this, lane)) return;
   Buffer& buf = local_buffer();
   TraceEvent& e = append_begin(buf);
   e = TraceEvent{};
@@ -145,7 +145,7 @@ void Tracer::instant(std::uint32_t lane, TimeDomain domain,
 
 void Tracer::counter(std::uint32_t lane, TimeDomain domain, const char* name,
                      double ts_us, double value) {
-  if (!enabled() || lane == SimLaneScope::kNoLane) return;
+  if (!sim_trace_on(*this, lane)) return;
   Buffer& buf = local_buffer();
   TraceEvent& e = append_begin(buf);
   e = TraceEvent{};

@@ -169,4 +169,14 @@ class SimLaneScope {
   std::uint32_t prev_;
 };
 
+/// Simulated seconds -> trace microseconds: the sim time domain renders
+/// simulated time on Perfetto's microsecond axis.
+inline constexpr double kSimUs = 1e6;
+
+/// Whether a sim-time event on `lane` is recorded: tracing is on and the
+/// caller has a lane. Emitters test it before computing their arguments.
+inline bool sim_trace_on(const Tracer& tracer, std::uint32_t lane) {
+  return tracer.enabled() && lane != SimLaneScope::kNoLane;
+}
+
 }  // namespace hydra::obs

@@ -38,12 +38,6 @@ std::string policy_kind_name(PolicyKind kind) {
   return "?";
 }
 
-power::DvsLadder make_ladder(const SimConfig& cfg) {
-  const power::VoltageFrequencyCurve curve(cfg.v_nominal, cfg.f_nominal,
-                                           cfg.v_threshold, cfg.vf_alpha);
-  return power::DvsLadder(curve, cfg.dvs_steps, cfg.v_low_fraction);
-}
-
 std::vector<std::vector<std::size_t>> sensor_adjacency() {
   const floorplan::Floorplan fp = floorplan::ev7_floorplan();
   std::vector<std::vector<std::size_t>> neighbors(fp.size());

@@ -86,9 +86,6 @@ std::vector<std::vector<std::size_t>> sensor_adjacency();
 /// campaigns by block name.
 std::vector<std::string_view> sensor_names();
 
-/// Build the DVS ladder implied by a SimConfig.
-power::DvsLadder make_ladder(const SimConfig& cfg);
-
 /// Instantiate a policy (nullptr for kNone).
 std::unique_ptr<core::DtmPolicy> make_policy(PolicyKind kind,
                                              const PolicyParams& params,

@@ -278,9 +278,9 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
         static const obs::Counter migration_counter =
             obs::metrics().counter("multicore.migrations");
         migration_counter.add();
-        if (tracer.enabled() && die_lane_ != obs::SimLaneScope::kNoLane) {
+        if (obs::sim_trace_on(tracer, die_lane_)) {
           tracer.instant(die_lane_, obs::TimeDomain::kSim, "multicore",
-                         "thread_migration", t_ * 1e6, "from",
+                         "thread_migration", t_ * obs::kSimUs, "from",
                          static_cast<double>(d.from), "to",
                          static_cast<double>(d.to));
         }

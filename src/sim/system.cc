@@ -62,9 +62,9 @@ void System::thermal_step(bool measure) {
       {50.0, 60.0, 70.0, 75.0, 80.0, 81.8, 85.0, 90.0, 100.0});
   tmax_hist.record(max_true);
   obs::Tracer& tracer = obs::tracer();
-  if (tracer.enabled() && tile.lane != obs::SimLaneScope::kNoLane) {
+  if (obs::sim_trace_on(tracer, tile.lane)) {
     tracer.counter(tile.lane, obs::TimeDomain::kSim, "power_watts",
-                   tile.t * 1e6, total_watts);
+                   tile.t * obs::kSimUs, total_watts);
   }
   tile.note_tmax(max_true, tile.t, measure);
 

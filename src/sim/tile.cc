@@ -10,14 +10,6 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-/// Simulated seconds -> trace microseconds (the sim time domain renders
-/// simulated time on Perfetto's microsecond axis).
-constexpr double kSimUs = 1e6;
-
-inline bool sim_trace_on(const obs::Tracer& tracer, std::uint32_t lane) {
-  return tracer.enabled() && lane != obs::SimLaneScope::kNoLane;
-}
-
 }  // namespace
 
 std::uint64_t probe_instructions(const SimConfig& cfg,
@@ -33,11 +25,15 @@ std::uint64_t probe_instructions(const SimConfig& cfg,
   return std::min<std::uint64_t>(rotation, 2'000'000);
 }
 
+power::DvsLadder make_ladder(const SimConfig& cfg) {
+  const power::VoltageFrequencyCurve curve(cfg.v_nominal, cfg.f_nominal,
+                                           cfg.v_threshold, cfg.vf_alpha);
+  return power::DvsLadder(curve, cfg.dvs_steps, cfg.v_low_fraction);
+}
+
 TileEnv::TileEnv(const SimConfig& c, const floorplan::Floorplan& unit)
     : cfg(c),
-      ladder(power::VoltageFrequencyCurve(c.v_nominal, c.f_nominal,
-                                          c.v_threshold, c.vf_alpha),
-             c.dvs_steps, c.v_low_fraction),
+      ladder(make_ladder(c)),
       power(unit, power::EnergyModel()),
       sensor_period_s(1.0 / (c.sensor.sample_rate.value() * c.time_scale)),
       switch_time_s(c.dvs_switch_time.value() / c.time_scale),
@@ -173,8 +169,8 @@ void Tile::apply_dvs_level(std::size_t level) {
   core.set_frequency(freq_hz);
 
   obs::Tracer& tracer = obs::tracer();
-  if (sim_trace_on(tracer, lane)) {
-    const double ts = t * kSimUs;
+  if (obs::sim_trace_on(tracer, lane)) {
+    const double ts = t * obs::kSimUs;
     tracer.instant(lane, obs::TimeDomain::kSim, "dtm", "dvs_level_applied",
                    ts, "level", static_cast<double>(level), "freq_ghz",
                    freq_hz / 1e9);
@@ -236,8 +232,8 @@ void Tile::sensor_event(const std::vector<double>& truth,
   }
 
   obs::Tracer& tracer = obs::tracer();
-  if (sim_trace_on(tracer, lane)) {
-    const double ts = t * kSimUs;
+  if (obs::sim_trace_on(tracer, lane)) {
+    const double ts = t * obs::kSimUs;
     if (gate_fraction != prev_gate) {
       tracer.counter(lane, obs::TimeDomain::kSim, "fetch_gate_duty", ts,
                      gate_fraction);
@@ -273,10 +269,10 @@ void Tile::sensor_event(const std::vector<double>& truth,
           obs::metrics().counter("dtm.policy_engagements");
       engagements.add();
     }
-    if (sim_trace_on(tracer, lane)) {
+    if (obs::sim_trace_on(tracer, lane)) {
       tracer.instant(lane, obs::TimeDomain::kSim, "dtm",
                      engaged ? "policy_engage" : "policy_disengage",
-                     t * kSimUs, "max_sensed", sample.max_sensed.value());
+                     t * obs::kSimUs, "max_sensed", sample.max_sensed.value());
     }
   }
   next_sensor_t += env.sensor_period_s;
@@ -292,9 +288,9 @@ void Tile::interval_power(const std::vector<double>& truth, double scale) {
 void Tile::note_tmax(double tmax, double time_s, bool measure) {
   if (measure) acc.max_true = std::max(acc.max_true, tmax);
   obs::Tracer& tracer = obs::tracer();
-  if (sim_trace_on(tracer, lane)) {
+  if (obs::sim_trace_on(tracer, lane)) {
     tracer.counter(lane, obs::TimeDomain::kSim, "Tmax_celsius",
-                   time_s * kSimUs, tmax);
+                   time_s * obs::kSimUs, tmax);
   }
   const bool emergency = tmax > env.cfg.thresholds.emergency.value();
   if (emergency != in_emergency) {
@@ -304,11 +300,11 @@ void Tile::note_tmax(double tmax, double time_s, bool measure) {
           obs::metrics().counter("dtm.emergency_crossings");
       crossings.add();
     }
-    if (sim_trace_on(tracer, lane)) {
+    if (obs::sim_trace_on(tracer, lane)) {
       tracer.instant(lane, obs::TimeDomain::kSim, "thermal",
                      emergency ? "thermal_emergency_begin"
                                : "thermal_emergency_end",
-                     time_s * kSimUs, "max_true", tmax);
+                     time_s * obs::kSimUs, "max_true", tmax);
     }
   }
 }

@@ -57,6 +57,9 @@ inline long long chunk_cycles(double next_event_t, double t, double freq_hz,
 std::uint64_t probe_instructions(const SimConfig& cfg,
                                  const workload::WorkloadProfile& profile);
 
+/// Build the DVS ladder implied by a SimConfig.
+power::DvsLadder make_ladder(const SimConfig& cfg);
+
 /// Read-only state every tile of one run shares.
 struct TileEnv {
   /// `unit` is one core's floorplan (the power model keeps only its

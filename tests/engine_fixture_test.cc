@@ -26,6 +26,7 @@
 #include "sim/multicore.h"
 #include "sim/persistent_cache.h"
 #include "sim/system.h"
+#include "thermal/sparse.h"
 #include "util/fields.h"
 #include "workload/spec_profiles.h"
 
@@ -239,7 +240,19 @@ std::string fixture_line(const std::string& name, const std::string& hex,
   return "{\"" + name + "\", \"" + hex + "\", " + tail;
 }
 
-class EngineFixtures : public ::testing::TestWithParam<std::string> {};
+// The fixtures hold the production dispatch's bits (the 4-core die's 82
+// nodes take the sparse path), so each case pins the node-count
+// crossover whatever HYDRA_SPARSE says.
+class EngineFixtures : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    thermal::set_sparse_mode_for_test(thermal::SparseMode::kAuto);
+  }
+  void TearDown() override { thermal::set_sparse_mode_for_test(saved_); }
+
+ private:
+  thermal::SparseMode saved_ = thermal::sparse_mode();
+};
 
 TEST_P(EngineFixtures, MatchRecordedBits) {
   const std::string& name = GetParam();
