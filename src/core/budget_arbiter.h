@@ -79,13 +79,6 @@ class BudgetArbiter {
 
   const std::vector<ArbiterCommand>& commands() const { return commands_; }
 
-  /// Allowances computed by the last update (watts; 0 for idle tiles).
-  /// Exposed for tests: allowances over occupied tiles sum to the die
-  /// budget (equal shares plus redistributed headroom).
-  const std::vector<util::Watts>& last_allowance() const {
-    return allowance_;
-  }
-
   void reset();
 
  private:

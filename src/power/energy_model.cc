@@ -59,10 +59,4 @@ util::Watts EnergyModel::dynamic_power(const arch::ActivityFrame& frame,
                      clocked_share);
 }
 
-util::Watts EnergyModel::total_peak_watts() const {
-  double total = 0.0;
-  for (const auto& s : specs_) total += s.peak_watts;
-  return util::Watts(total);
-}
-
 }  // namespace hydra::power

@@ -39,9 +39,6 @@ class EnergyModel {
   const BlockEnergySpec& spec(floorplan::BlockId id) const {
     return specs_[static_cast<std::size_t>(id)];
   }
-  BlockEnergySpec& spec_mutable(floorplan::BlockId id) {
-    return specs_[static_cast<std::size_t>(id)];
-  }
 
   util::Volts v_nominal() const { return util::Volts(v_nominal_); }
   util::Hertz f_nominal() const { return util::Hertz(f_nominal_); }
@@ -55,9 +52,6 @@ class EnergyModel {
   util::Watts dynamic_power(const arch::ActivityFrame& frame,
                             floorplan::BlockId id, util::Volts voltage,
                             util::Hertz frequency) const;
-
-  /// Sum of peak powers (sanity/calibration aid).
-  util::Watts total_peak_watts() const;
 
  private:
   std::array<BlockEnergySpec, floorplan::kNumBlocks> specs_{};

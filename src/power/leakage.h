@@ -38,9 +38,6 @@ class LeakageModel {
   void power_into(const std::vector<double>& celsius, util::Volts voltage,
                   std::vector<double>& out) const;
 
-  util::Celsius reference_temperature() const {
-    return util::Celsius(t0_celsius_);
-  }
   util::Volts v_nominal() const { return util::Volts(v_nominal_); }
 
  private:

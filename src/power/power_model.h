@@ -19,7 +19,6 @@ class PowerModel {
   PowerModel(const floorplan::Floorplan& fp, EnergyModel energy);
 
   const EnergyModel& energy() const { return energy_; }
-  EnergyModel& energy_mutable() { return energy_; }
   const LeakageModel& leakage() const { return leakage_; }
 
   /// Per-block power [W] (size kNumBlocks): dynamic power implied by the

@@ -208,19 +208,19 @@ RunCache::Future ExperimentRunner::submit_baseline(
       run_point_key(profile, PolicyKind::kNone, PolicyParams{}, bcfg);
   return cache_.submit(
       key, *pool_,
-      [profile, bcfg = std::move(bcfg)](const util::CancelToken& token) {
+      [profile, bcfg = std::move(bcfg)](const util::Deadline& deadline) {
         // Per-job profiling span on this worker's wall-clock lane, so the
         // trace shows pool occupancy per thread.
         const obs::ScopedSpan span(obs::tracer(), "engine", "run",
                                    profile.name + "/baseline");
         if (bcfg.multicore.cores > 1) {
           MulticoreSystem system(profile, bcfg, nullptr, "baseline");
-          return system.run(&token).aggregate;
+          return system.run(deadline).aggregate;
         }
         System system(profile, bcfg, nullptr);
-        return system.run(&token);
+        return system.run(deadline);
       },
-      job_opts_);
+      job_timeout_);
 }
 
 RunCache::Future ExperimentRunner::submit_run(
@@ -235,7 +235,7 @@ RunCache::Future ExperimentRunner::submit_run(
   const std::uint64_t key = run_point_key(profile, kind, params, cfg);
   return cache_.submit(
       key, *pool_,
-      [profile, kind, params, cfg](const util::CancelToken& token) {
+      [profile, kind, params, cfg](const util::Deadline& deadline) {
         const obs::ScopedSpan span(
             obs::tracer(), "engine", "run",
             profile.name + "/" + policy_kind_name(kind));
@@ -246,12 +246,12 @@ RunCache::Future ExperimentRunner::submit_run(
               profile, cfg,
               [kind, params, cfg] { return make_policy(kind, params, cfg); },
               policy_kind_name(kind));
-          return system.run(&token).aggregate;
+          return system.run(deadline).aggregate;
         }
         System system(profile, cfg, make_policy(kind, params, cfg));
-        return system.run(&token);
+        return system.run(deadline);
       },
-      job_opts_);
+      job_timeout_);
 }
 
 const RunResult& ExperimentRunner::baseline(

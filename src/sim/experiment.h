@@ -158,7 +158,6 @@ class ExperimentRunner {
   explicit ExperimentRunner(SimConfig base_cfg,
                             util::ThreadPool* pool = nullptr);
 
-  const SimConfig& base_config() const { return base_cfg_; }
   std::size_t threads() const { return pool_->size(); }
 
   /// Baseline (no-DTM) run for a benchmark under the runner's base
@@ -198,14 +197,10 @@ class ExperimentRunner {
   /// reads it for its batch.* rows, and the two go together.
   std::size_t last_batched_groups() const { return 0; }
 
-  /// Supervision applied to every subsequently submitted run: per-job
-  /// deadline (cooperative, polled by System::run) and transient-retry
-  /// budget. Defaults are "no supervision", which keeps the engine's
-  /// default behaviour — and its exact memoization shape — unchanged.
-  void set_job_options(const RunCache::JobOptions& opts) {
-    job_opts_ = opts;
-  }
-  const RunCache::JobOptions& job_options() const { return job_opts_; }
+  /// Wall-clock budget of every subsequently submitted run (<= 0, the
+  /// default: none). Cooperative, polled by System::run; it never
+  /// changes a result, only whether one arrives.
+  void set_job_timeout(util::Seconds timeout) { job_timeout_ = timeout; }
 
   /// Attach a crash-safe disk tier (see PersistentRunCache). Off by
   /// default — persistence is opt-in per tool so benches and tests stay
@@ -227,7 +222,7 @@ class ExperimentRunner {
   SimConfig base_cfg_;
   util::ThreadPool* pool_;
   RunCache cache_;
-  RunCache::JobOptions job_opts_{};
+  util::Seconds job_timeout_{0.0};
 };
 
 }  // namespace hydra::sim

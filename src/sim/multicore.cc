@@ -188,9 +188,7 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
   const std::size_t cores = tiles_.size();
   obs::Tracer& tracer = obs::tracer();
   while (total_committed() < target_committed) {
-    if (cancel_ != nullptr && cancel_->stop_requested()) {
-      cancel_->throw_if_stopped(benchmark_name_);
-    }
+    deadline_.throw_if_expired(benchmark_name_);
     const double t_end = t_ + interval_dt_;
     // Parallel phase: every tile advances to the barrier independently.
     if (pool_ == nullptr) {
@@ -311,8 +309,8 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
   }
 }
 
-MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
-  cancel_ = cancel;
+MulticoreResult MulticoreSystem::run(const util::Deadline& deadline) {
+  deadline_ = deadline;
   const std::uint64_t guard_trips_before = solver_.fused_guard_trips();
   obs::Tracer& tracer = obs::tracer();
   if (tracer.enabled()) {
@@ -446,7 +444,6 @@ MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
     out.per_core.push_back(s);
   }
   out.migrations = migration_events_;
-  cancel_ = nullptr;
   return out;
 }
 

@@ -52,7 +52,7 @@
 #include "sim/system.h"
 #include "sim/tile.h"
 #include "thermal/solver.h"
-#include "util/cancel.h"
+#include "util/deadline.h"
 #include "util/thread_pool.h"
 #include "workload/synthetic_trace.h"
 
@@ -110,8 +110,8 @@ class MulticoreSystem {
   ~MulticoreSystem();
 
   /// Steady-state init + warm-up + measured run (see System::run for the
-  /// cancellation contract; cancellation is polled once per interval).
-  MulticoreResult run(const util::CancelToken* cancel = nullptr);
+  /// deadline contract; the deadline is polled once per interval).
+  MulticoreResult run(const util::Deadline& deadline = {});
 
   std::size_t cores() const { return tiles_.size(); }
   const power::DvsLadder& ladder() const { return env_.ladder; }
@@ -179,7 +179,7 @@ class MulticoreSystem {
   std::string benchmark_name_;
   std::string policy_name_;
   std::uint32_t die_lane_ = obs::SimLaneScope::kNoLane;  ///< die trace lane
-  const util::CancelToken* cancel_ = nullptr;
+  util::Deadline deadline_;
   std::uint64_t probe_instructions_ = 0;
 
   // Preallocated die-level scratch (the interval loop never allocates).

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -93,6 +92,14 @@ struct Reader {
     return s;
   }
 };
+
+// Fan-out of the key space on disk: `key` lives in shard key % kShards.
+constexpr std::uint64_t kShards = 16;
+
+/// "shard-NN", the directory of shard `s`.
+std::string shard_name(std::uint64_t s) {
+  return (s < 10 ? "shard-0" : "shard-") + std::to_string(s);
+}
 
 std::string hex16(std::uint64_t v) {
   static const char* digits = "0123456789abcdef";
@@ -232,17 +239,12 @@ PersistentRunCache::PersistentRunCache(Options opts)
   if (opts_.dir.empty()) {
     throw std::runtime_error("persistent cache: empty directory");
   }
-  if (opts_.shards == 0) opts_.shards = 1;
   const util::LockGuard lock(mu_);
   recover_locked();
 }
 
 fs::path PersistentRunCache::shard_dir(std::uint64_t key) const {
-  std::ostringstream name;
-  name << "shard-";
-  const std::uint64_t shard = key % opts_.shards;
-  name << (shard < 10 ? "0" : "") << shard;
-  return fs::path(opts_.dir) / name.str();
+  return fs::path(opts_.dir) / shard_name(key % kShards);
 }
 
 fs::path PersistentRunCache::entry_path(std::uint64_t key) const {
@@ -256,8 +258,8 @@ void PersistentRunCache::recover_locked() {
   std::error_code ec;
   fs::create_directories(opts_.dir, ec);
   fs::create_directories(fs::path(opts_.dir) / "quarantine", ec);
-  for (std::size_t s = 0; s < opts_.shards; ++s) {
-    fs::create_directories(fs::path(opts_.dir) / ("shard-" + std::string(s < 10 ? "0" : "") + std::to_string(s)), ec);
+  for (std::uint64_t s = 0; s < kShards; ++s) {
+    fs::create_directories(fs::path(opts_.dir) / shard_name(s), ec);
   }
   // Probe writability up front so a bad directory fails loudly at open,
   // not silently per save.
@@ -282,10 +284,8 @@ void PersistentRunCache::recover_locked() {
     std::int64_t mtime_ns;
   };
   std::vector<Found> found;
-  for (std::size_t s = 0; s < opts_.shards; ++s) {
-    const fs::path dir = fs::path(opts_.dir) /
-                         ("shard-" + std::string(s < 10 ? "0" : "") +
-                          std::to_string(s));
+  for (std::uint64_t s = 0; s < kShards; ++s) {
+    const fs::path dir = fs::path(opts_.dir) / shard_name(s);
     for (const auto& de : fs::directory_iterator(dir, ec)) {
       const fs::path p = de.path();
       if (p.extension() == ".tmp" ||

@@ -10,7 +10,7 @@
 //
 // Durability model (DESIGN.md §13):
 //   * Entries live one-file-per-run under `<dir>/shard-NN/<key>.run`,
-//     sharded by the low bits of the FNV run key so directory listings
+//     in 16 shards by the low four bits of the FNV run key, so listings
 //     stay short at serve scale.
 //   * Each file is versioned and checksummed (FNV-1a over the payload);
 //     writes go to a temp file in the same shard and are published with
@@ -64,8 +64,7 @@ bool deserialize_run_result(std::string_view payload, RunResult& out);
 class PersistentRunCache {
  public:
   struct Options {
-    std::string dir;              ///< store root (created if absent)
-    std::size_t shards = 16;      ///< fan-out of the key space on disk
+    std::string dir;  ///< store root (created if absent)
     std::uint64_t max_bytes = 256ull << 20;  ///< LRU capacity bound
   };
 

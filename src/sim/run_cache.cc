@@ -1,8 +1,6 @@
 #include "sim/run_cache.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
+#include <exception>
 #include <utility>
 
 #include "obs/obs.h"
@@ -10,18 +8,10 @@
 
 namespace hydra::sim {
 
-namespace {
-
-// Retry backoff never sleeps longer than this per attempt, no matter
-// how many doublings max_attempts allows.
-constexpr double kMaxBackoffSeconds = 0.25;
-
-}  // namespace
-
 RunCache::Future RunCache::submit(
     std::uint64_t key, util::ThreadPool& pool,
-    std::function<RunResult(const util::CancelToken&)> compute,
-    const JobOptions& opts) {
+    std::function<RunResult(const util::Deadline&)> compute,
+    util::Seconds timeout) {
   Future future;
   {
     const util::LockGuard lock(mu_);
@@ -50,29 +40,24 @@ RunCache::Future RunCache::submit(
     // jobs are still draining.
     pool.submit([promise = std::move(promise), state = std::move(state),
                  counters = counters_, store = store_, key,
-                 compute = std::move(compute), opts]() mutable {
-      // Disk tier first: done inside the job so the submit path never
-      // blocks on disk, and shard file reads (which the store performs
-      // outside its index lock) parallelise across workers.
-      if (store) {
-        if (ResultPtr from_disk = store->load(key)) {
+                 compute = std::move(compute), timeout]() mutable {
+      const auto fail = [&](std::exception_ptr error) {
+        counters->failures.fetch_add(1, std::memory_order_relaxed);
+        state->store(kFailed, std::memory_order_release);
+        promise->set_exception(std::move(error));
+      };
+      ResultPtr result;
+      try {
+        // Disk tier first: done inside the job so the submit path never
+        // blocks on disk, and shard file reads (which the store performs
+        // outside its index lock) parallelise across workers.
+        if (store) result = store->load(key);
+        if (result) {
           counters->disk_hits.fetch_add(1, std::memory_order_relaxed);
-          state->store(kDone, std::memory_order_release);
-          promise->set_value(std::move(from_disk));
-          return;
-        }
-      }
-      // Clamp the caller-supplied initial backoff too: the sleep runs
-      // on a pool worker, so even the first retry must respect the cap.
-      double backoff_s = std::min(opts.backoff.value(), kMaxBackoffSeconds);
-      for (int attempt = 1;; ++attempt) {
-        try {
-          util::CancelToken token;
-          if (opts.timeout.value() > 0.0) {
-            token.set_deadline_after(opts.timeout);
-          }
+        } else {
           counters->computes.fetch_add(1, std::memory_order_relaxed);
-          auto result = std::make_shared<const RunResult>(compute(token));
+          result = std::make_shared<const RunResult>(
+              compute(util::Deadline(timeout)));
           // Spill BEFORE unblocking waiters: once get() returns, the
           // caller may treat the result as durable (kill the process,
           // restart warm), so the entry must already be on disk. A
@@ -92,53 +77,26 @@ RunCache::Future RunCache::submit(
               spill_failures.add();
             }
           }
-          state->store(kDone, std::memory_order_release);
-          promise->set_value(result);
-          return;
-        } catch (const util::TransientError&) {
-          if (attempt < opts.max_attempts) {
-            counters->retries.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(backoff_s));
-            backoff_s = std::min(backoff_s * 2.0, kMaxBackoffSeconds);
-            continue;
-          }
-          counters->failures.fetch_add(1, std::memory_order_relaxed);
-          state->store(kFailed, std::memory_order_release);
-          promise->set_exception(std::current_exception());
-          return;
-        } catch (const util::TimeoutError&) {
-          static const obs::Counter timeout_counter =
-              obs::metrics().counter("run_cache.job_timeouts");
-          timeout_counter.add();
-          counters->timeouts.fetch_add(1, std::memory_order_relaxed);
-          counters->failures.fetch_add(1, std::memory_order_relaxed);
-          state->store(kFailed, std::memory_order_release);
-          promise->set_exception(std::current_exception());
-          return;
-        } catch (...) {
-          static const obs::Counter failure_counter =
-              obs::metrics().counter("run_cache.job_failures");
-          failure_counter.add();
-          counters->failures.fetch_add(1, std::memory_order_relaxed);
-          state->store(kFailed, std::memory_order_release);
-          promise->set_exception(std::current_exception());
-          return;
         }
+      } catch (const util::TimeoutError&) {
+        static const obs::Counter timeout_counter =
+            obs::metrics().counter("run_cache.job_timeouts");
+        timeout_counter.add();
+        counters->timeouts.fetch_add(1, std::memory_order_relaxed);
+        fail(std::current_exception());
+        return;
+      } catch (...) {
+        static const obs::Counter failure_counter =
+            obs::metrics().counter("run_cache.job_failures");
+        failure_counter.add();
+        fail(std::current_exception());
+        return;
       }
+      state->store(kDone, std::memory_order_release);
+      promise->set_value(std::move(result));
     });
   }
   return future;
-}
-
-RunCache::Future RunCache::submit(std::uint64_t key, util::ThreadPool& pool,
-                                  std::function<RunResult()> compute) {
-  return submit(
-      key, pool,
-      [compute = std::move(compute)](const util::CancelToken&) {
-        return compute();
-      },
-      JobOptions{});
 }
 
 void RunCache::set_store(std::shared_ptr<PersistentRunCache> store) {
@@ -158,7 +116,6 @@ RunCache::Stats RunCache::stats() const {
     s = stats_;
   }
   s.failures = counters_->failures.load(std::memory_order_relaxed);
-  s.retries = counters_->retries.load(std::memory_order_relaxed);
   s.timeouts = counters_->timeouts.load(std::memory_order_relaxed);
   s.computes = counters_->computes.load(std::memory_order_relaxed);
   s.disk_hits = counters_->disk_hits.load(std::memory_order_relaxed);

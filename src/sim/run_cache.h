@@ -17,12 +17,13 @@
 //   * A Failed entry does not poison the key: the next submission of
 //     the same key is treated as a miss and recomputes. (Previously a
 //     throwing job left the broken future cached forever.)
-//   * JobOptions adds a per-job deadline — enforced cooperatively via a
-//     util::CancelToken handed to the job — and bounded retry with
-//     doubling backoff for jobs that throw util::TransientError.
+//   * Each job is one attempt. An optional timeout becomes a
+//     util::Deadline handed to the job, which polls it cooperatively.
 //   * With a PersistentRunCache attached, a miss first consults the
 //     disk tier inside the job (so shard I/O parallelises across
-//     workers) and publishes every fresh compute back to it.
+//     workers) and publishes every fresh compute back to it. Whatever
+//     the load, the compute or the spill throws fails the job, never
+//     the pool.
 //
 // Jobs deliberately capture shared state rather than the RunCache
 // itself: a caller may destroy the cache the moment get() returns while
@@ -37,7 +38,7 @@
 #include <unordered_map>
 
 #include "sim/system.h"
-#include "util/cancel.h"
+#include "util/deadline.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -51,46 +52,27 @@ class RunCache {
   using ResultPtr = std::shared_ptr<const RunResult>;
   using Future = std::shared_future<ResultPtr>;
 
-  /// Per-job supervision knobs. The defaults mean "no supervision":
-  /// no deadline, a single attempt.
-  struct JobOptions {
-    /// Wall-clock budget for one attempt; <= 0 disables the deadline.
-    /// Enforced cooperatively — System::run polls the token per chunk —
-    /// so an expired job unwinds with util::TimeoutError within one
-    /// chunk, never by killing a thread.
-    util::Seconds timeout{0.0};
-    /// Total attempts for jobs that throw util::TransientError. Other
-    /// exception types never retry (they are deterministic failures).
-    int max_attempts = 1;
-    /// Sleep before the first retry; doubles per retry, bounded.
-    util::Seconds backoff{0.005};
-  };
-
   struct Stats {
     std::uint64_t hits = 0;    ///< submissions served from the cache
     std::uint64_t misses = 0;  ///< submissions that enqueued a run
-    std::uint64_t failures = 0;   ///< jobs whose final attempt threw
-    std::uint64_t retries = 0;    ///< transient attempts retried
+    std::uint64_t failures = 0;   ///< jobs that threw
     std::uint64_t timeouts = 0;   ///< failures that were deadline expiries
-    std::uint64_t computes = 0;   ///< attempts that invoked the job body
+    std::uint64_t computes = 0;   ///< jobs that invoked the compute body
     std::uint64_t disk_hits = 0;    ///< misses served by the disk tier
     std::uint64_t disk_stores = 0;  ///< fresh results spilled to disk
   };
 
   /// Future for the run keyed by `key`. On a miss — including a cached
-  /// entry whose job Failed — `compute` is enqueued on `pool` under the
-  /// supervision in `opts`, and the (shared) future is published before
-  /// returning, so concurrent submitters of the same key join one run.
-  /// The job's CancelToken reports the per-attempt deadline; long runs
-  /// must poll it (System::run does). Exceptions from the final attempt
-  /// are rethrown from the future's get().
+  /// entry whose job Failed — `compute` is enqueued on `pool` and the
+  /// (shared) future is published before returning, so concurrent
+  /// submitters of the same key join one run. `compute` gets a Deadline
+  /// `timeout` after it starts (<= 0: none); long runs must poll it
+  /// (System::run does), so an expired job unwinds with
+  /// util::TimeoutError within one chunk, never by killing a thread.
+  /// Whatever the job throws is rethrown from the future's get().
   Future submit(std::uint64_t key, util::ThreadPool& pool,
-                std::function<RunResult(const util::CancelToken&)> compute,
-                const JobOptions& opts);
-
-  /// Unsupervised convenience overload (no deadline, one attempt).
-  Future submit(std::uint64_t key, util::ThreadPool& pool,
-                std::function<RunResult()> compute);
+                std::function<RunResult(const util::Deadline&)> compute,
+                util::Seconds timeout = util::Seconds{0.0});
 
   /// Attach the disk tier consulted/fed by misses. Affects only jobs
   /// enqueued after the call. Pass nullptr to detach.
@@ -114,7 +96,6 @@ class RunCache {
   /// and shared with every job for the same lifetime reason as State.
   struct SharedCounters {
     std::atomic<std::uint64_t> failures{0};
-    std::atomic<std::uint64_t> retries{0};
     std::atomic<std::uint64_t> timeouts{0};
     std::atomic<std::uint64_t> computes{0};
     std::atomic<std::uint64_t> disk_hits{0};

@@ -26,7 +26,9 @@ struct MulticoreConfig {
   /// Worker threads stepping tiles within one run. 0 = the global
   /// pool's width. Results are bit-identical at any value (enforced by
   /// multicore_test): threads only parallelise the embarrassingly
-  /// parallel per-tile core stepping between interval barriers.
+  /// parallel per-tile core stepping between interval barriers. Not a
+  /// visited field, so hydra_run has no `multicore.threads` key: its
+  /// `threads=N` run-control key (default $HYDRA_THREADS) sets it.
   std::size_t threads = 0;
   /// Software threads running on the die (each a seeded variant of the
   /// benchmark profile, pinned one per tile in tile order). 0 = one

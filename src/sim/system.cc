@@ -110,11 +110,9 @@ void System::advance_until(std::uint64_t target_committed, bool measure,
   double next_event = tile.next_event();
   while (tile.core.committed() < target_committed ||
          (run_out_interval && interval_cycles_ > 0)) {
-    // Cooperative supervision point: at most one predicted-false branch
-    // per chunk when no token is armed, one atomic load when it is.
-    if (cancel_ != nullptr && cancel_->stop_requested()) {
-      cancel_->throw_if_stopped(benchmark_name_);
-    }
+    // Cooperative supervision point: one predicted-false branch per
+    // chunk when no deadline is armed, one clock read when it is.
+    deadline_.throw_if_expired(benchmark_name_);
     const Chunk chunk = tile.advance(
         chunk_cycles(next_event, tile.t, tile.freq_hz,
                      cfg_.thermal_interval_cycles - interval_cycles_),
@@ -130,8 +128,8 @@ void System::advance_until(std::uint64_t target_committed, bool measure,
   }
 }
 
-RunResult System::run(const util::CancelToken* cancel) {
-  cancel_ = cancel;
+RunResult System::run(const util::Deadline& deadline) {
+  deadline_ = deadline;
   Tile& tile = *tile_;
   const std::uint64_t guard_trips_before = solver_.fused_guard_trips();
   obs::Tracer& tracer = obs::tracer();
@@ -212,7 +210,6 @@ RunResult System::run(const util::CancelToken* cancel) {
   }
   r.dvs_transitions = ta.transitions;
   r.solver_guard_trips = solver_.fused_guard_trips() - guard_trips_before;
-  cancel_ = nullptr;
   if (tile.injector) {
     r.faulted_samples = tile.injector->counters().faulted_samples;
   }

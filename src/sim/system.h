@@ -26,7 +26,7 @@
 #include "sim/tile.h"
 #include "thermal/model_builder.h"
 #include "thermal/solver.h"
-#include "util/cancel.h"
+#include "util/deadline.h"
 #include "util/fields.h"
 #include "workload/synthetic_trace.h"
 
@@ -139,13 +139,12 @@ class System {
   System(const workload::WorkloadProfile& profile, const SimConfig& cfg,
          std::unique_ptr<core::DtmPolicy> policy);
 
-  /// Steady-state init + warm-up + measured run. `cancel`, when given,
-  /// is polled at chunk granularity: a requested stop (explicit cancel
-  /// or expired deadline) unwinds with the matching typed exception
-  /// (util::CancelledError / util::TimeoutError), leaving the System in
-  /// an unspecified but destructible state. Deterministic runs pass
-  /// nullptr and pay a single predicted-false branch per chunk.
-  RunResult run(const util::CancelToken* cancel = nullptr);
+  /// Steady-state init + warm-up + measured run. `deadline` is polled
+  /// at chunk granularity: once it expires the run unwinds with
+  /// util::TimeoutError, leaving the System in an unspecified but
+  /// destructible state. Without one (the default) each chunk pays a
+  /// single predicted-false branch.
+  RunResult run(const util::Deadline& deadline = {});
 
   /// Test seam: poison the next fused-BE step (see
   /// TransientSolver::inject_fused_fault_for_test). Lets tests assert
@@ -219,8 +218,8 @@ class System {
 
   std::function<void(const StepTrace&)> trace_cb_;
   std::string benchmark_name_;
-  /// Cooperative stop signal for the current run() (null when absent).
-  const util::CancelToken* cancel_ = nullptr;
+  /// Deadline of the current run().
+  util::Deadline deadline_;
   std::uint64_t probe_instructions_ = 0;
 
   // Preallocated scratch so the per-step hot path never allocates.

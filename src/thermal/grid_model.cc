@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "thermal/package_builder.h"
+
 namespace hydra::thermal {
 namespace {
 
@@ -60,11 +62,12 @@ GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
   }
 
   // --- Package -------------------------------------------------------------
-  package_ = attach_package_nodes(network_, die_w, die_h, pkg);
+  const PackageNodes package =
+      attach_package_nodes(network_, die_w, die_h, pkg);
   const util::KelvinPerWatt r_cell_vertical =
       die_to_spreader_resistance(cell_area, pkg);
   for (std::size_t i = 0; i < num_cells(); ++i) {
-    network_.connect(i, package_.spreader_center, r_cell_vertical);
+    network_.connect(i, package.spreader_center, r_cell_vertical);
   }
 
   // --- Block <-> cell overlap map -------------------------------------------

@@ -15,7 +15,6 @@
 
 #include "floorplan/floorplan.h"
 #include "thermal/package.h"
-#include "thermal/package_builder.h"
 #include "thermal/rc_network.h"
 
 namespace hydra::thermal {
@@ -32,14 +31,12 @@ class GridThermalModel {
                    const GridModelConfig& cfg = {});
 
   const RcNetwork& network() const { return network_; }
-  RcNetwork& network_mutable() { return network_; }
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t num_cells() const { return rows_ * cols_; }
   std::size_t cell_node(std::size_t row, std::size_t col) const {
     return row * cols_ + col;
   }
-  const PackageNodes& package_nodes() const { return package_; }
 
   /// Distribute per-block power [W] onto cells by area overlap; package
   /// nodes get zero. Result size == network().size().
@@ -62,7 +59,6 @@ class GridThermalModel {
   std::size_t cols_;
   std::size_t num_blocks_;
   RcNetwork network_;
-  PackageNodes package_;
   /// overlap_[cell][block] = fraction of the cell covered by the block.
   std::vector<std::vector<double>> overlap_;
   std::vector<double> block_area_;

@@ -2,12 +2,11 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
-#define HYDRA_SIMD_X86 1
+#define HYDRA_X86_SIMD 1
 #endif
 
 namespace hydra::thermal::simd {
@@ -46,7 +45,7 @@ double gather_dot_scalar(const double* vals, const std::int32_t* idx,
 // translation unit itself needs no -mavx2 (the binary must still run on
 // SSE2-only hosts, where dispatch picks scalar).
 
-#if defined(HYDRA_SIMD_X86)
+#if defined(HYDRA_X86_SIMD)
 
 __attribute__((target("avx2,fma"))) void matvec_avx2(const double* a,
                                                      std::size_t rows,
@@ -98,32 +97,12 @@ bool cpu_has_avx2_fma() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
 
-#endif  // HYDRA_SIMD_X86
-
-Backend detect_backend() {
-#if defined(HYDRA_SIMD_X86)
-  return cpu_has_avx2_fma() ? Backend::kAvx2 : Backend::kScalar;
-#else
-  return Backend::kScalar;
-#endif
-}
-
-Backend sanitize(Backend b) {
-  return backend_available(b) ? b : Backend::kScalar;
-}
-
-Backend resolve_startup_backend() {
-  const char* env = std::getenv("HYDRA_SIMD");
-  if (env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "scalar") == 0) return Backend::kScalar;
-    if (std::strcmp(env, "avx2") == 0) return sanitize(Backend::kAvx2);
-    return Backend::kScalar;  // unknown value: the safe, portable twin
-  }
-  return detect_backend();
-}
+#endif  // HYDRA_X86_SIMD
 
 std::atomic<Backend>& backend_slot() {
-  static std::atomic<Backend> slot{resolve_startup_backend()};
+  static std::atomic<Backend> slot{backend_available(Backend::kAvx2)
+                                       ? Backend::kAvx2
+                                       : Backend::kScalar};
   return slot;
 }
 
@@ -134,7 +113,7 @@ bool backend_available(Backend b) {
     case Backend::kScalar:
       return true;
     case Backend::kAvx2:
-#if defined(HYDRA_SIMD_X86)
+#if defined(HYDRA_X86_SIMD)
       return cpu_has_avx2_fma();
 #else
       return false;
@@ -148,7 +127,8 @@ Backend active_backend() {
 }
 
 void set_backend_for_test(Backend b) {
-  backend_slot().store(sanitize(b), std::memory_order_relaxed);
+  backend_slot().store(backend_available(b) ? b : Backend::kScalar,
+                       std::memory_order_relaxed);
 }
 
 const char* backend_name(Backend b) {
@@ -177,7 +157,7 @@ PackedMatrix::PackedMatrix(std::size_t rows, std::size_t cols,
 void matvec(const double* a, std::size_t rows, std::size_t cols,
             const double* x, double* y) {
   switch (active_backend()) {
-#if defined(HYDRA_SIMD_X86)
+#if defined(HYDRA_X86_SIMD)
     case Backend::kAvx2:
       matvec_avx2(a, rows, cols, x, y);
       return;
@@ -199,7 +179,7 @@ void packed_matvec(const PackedMatrix& m, const double* x, double* y) {
 double gather_dot(const double* vals, const std::int32_t* idx,
                   std::size_t nnz, const double* x) {
   switch (active_backend()) {
-#if defined(HYDRA_SIMD_X86)
+#if defined(HYDRA_X86_SIMD)
     case Backend::kAvx2:
       return gather_dot_avx2(vals, idx, nnz, x);
 #endif

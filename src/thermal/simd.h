@@ -2,11 +2,9 @@
 //
 // Every kernel the per-step path runs — Matrix::multiply_into, the fused
 // backward-Euler step and the sparse substitutions — routes through this
-// shim. A backend is picked once at startup (AVX2+FMA on x86-64 when the
-// CPU has it, portable scalar otherwise) and can be overridden with
-// HYDRA_SIMD=scalar|avx2 for bit-identity testing; requesting an
-// unavailable backend falls back to scalar so a pinned CI leg never
-// aborts.
+// shim. The backend is detected once at startup: AVX2+FMA on x86-64 when
+// the CPU has it, portable scalar otherwise. Tests flip it in process
+// through set_backend_for_test.
 //
 // Bit-identity contract ("virtual four lanes"): every backend computes a
 // dot product as four column-class partial sums — class j accumulates
@@ -41,14 +39,13 @@ inline std::size_t padded_size(std::size_t n) {
 /// True when this build/CPU can execute `b`.
 bool backend_available(Backend b);
 
-/// The backend the kernels dispatch to. Resolved once: HYDRA_SIMD if set
-/// (unavailable or unknown values fall back to scalar), else the best
-/// available backend for this CPU.
+/// The backend the kernels dispatch to: the best one this CPU can run,
+/// unless a test has pinned another.
 Backend active_backend();
 
 /// Test seam: force the dispatch (simd_test flips between scalar and the
 /// native backend inside one process to prove bit-identity). Requests
-/// for an unavailable backend degrade to scalar, like the env override.
+/// for an unavailable backend degrade to scalar.
 void set_backend_for_test(Backend b);
 
 const char* backend_name(Backend b);

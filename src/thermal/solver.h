@@ -235,7 +235,7 @@ class TransientSolver {
   double last_sparse_dt_ = 0.0;
   const SparseStepOperator* last_sparse_ = nullptr;
   /// kFusedBE routes through the sparse path for this model (decided
-  /// once at construction from the HYDRA_SPARSE policy + node count).
+  /// once at construction by use_sparse_step(node count)).
   bool use_sparse_ = false;
   // Fast-path numerical guard state, shared by the fused and sparse
   // steps (see step_fused_be / step_sparse_be).

@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -246,40 +244,14 @@ void SparseCholesky::solve_into(const double* b, double* x,
 
 namespace {
 
-SparseMode resolve_startup_mode() {
-  const char* env = std::getenv("HYDRA_SPARSE");
-  if (env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "on") == 0) return SparseMode::kOn;
-    if (std::strcmp(env, "off") == 0) return SparseMode::kOff;
-  }
-  return SparseMode::kAuto;
-}
-
-std::atomic<SparseMode>& mode_slot() {
-  static std::atomic<SparseMode> slot{resolve_startup_mode()};
-  return slot;
-}
+std::atomic<SparseMode> g_mode{SparseMode::kAuto};
 
 }  // namespace
 
-SparseMode sparse_mode() {
-  return mode_slot().load(std::memory_order_relaxed);
-}
+SparseMode sparse_mode() { return g_mode.load(std::memory_order_relaxed); }
 
 void set_sparse_mode_for_test(SparseMode m) {
-  mode_slot().store(m, std::memory_order_relaxed);
-}
-
-const char* sparse_mode_name(SparseMode m) {
-  switch (m) {
-    case SparseMode::kAuto:
-      return "auto";
-    case SparseMode::kOn:
-      return "on";
-    case SparseMode::kOff:
-      return "off";
-  }
-  return "?";
+  g_mode.store(m, std::memory_order_relaxed);
 }
 
 bool use_sparse_step(std::size_t nodes) {

@@ -6,9 +6,9 @@
 // while the dense fused-BE operator is a full n x n inverse. This
 // module provides the CSR matrix type, a sparse LDL^T (Cholesky)
 // factorisation with a fill-reducing minimum-degree ordering, and the
-// HYDRA_SPARSE dispatch policy that decides when the solver should
-// factorise-once + substitute per step instead of running the dense
-// fused two-matvec path.
+// node-count dispatch that decides when the solver should factorise
+// once + substitute per step instead of running the dense fused
+// two-matvec path.
 //
 // Why LDL^T applies: G is a weighted graph Laplacian plus a nonnegative
 // ambient-tie diagonal, hence symmetric positive semidefinite, and the
@@ -91,17 +91,15 @@ class SparseCholesky {
   std::vector<double> d_;  ///< positive pivots of D
 };
 
-/// HYDRA_SPARSE dispatch policy: `auto` (default) switches to the
-/// sparse path at the measured crossover node count, `on` forces it for
-/// every model, `off` pins the dense fused path (the CI validation-twin
-/// leg, mirroring HYDRA_SIMD=scalar). Unknown values read as auto.
+/// Sparse dispatch: `kAuto` (production) switches to the sparse path at
+/// the measured crossover node count, `kOn` forces it for every model,
+/// `kOff` pins the dense fused path (the validation twin).
 enum class SparseMode { kAuto, kOn, kOff };
 
 SparseMode sparse_mode();
-const char* sparse_mode_name(SparseMode m);
 
-/// Test seam: override the HYDRA_SPARSE resolution (sparse_test flips
-/// modes inside one process to compare the paths).
+/// Test seam: pin the dispatch (sparse_test flips modes inside one
+/// process to compare the paths; every other run is `kAuto`).
 void set_sparse_mode_for_test(SparseMode m);
 
 /// Node count at or above which `auto` picks the sparse path: the

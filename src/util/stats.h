@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace hydra::util {
 
@@ -32,9 +31,6 @@ class RunningStats {
   /// Sum of all observations.
   double sum() const { return sum_; }
 
-  /// Merge another accumulator into this one (parallel-friendly).
-  void merge(const RunningStats& other);
-
   RunningStats();
 
  private:
@@ -58,28 +54,5 @@ double t_critical_99(std::size_t degrees_of_freedom);
 
 /// Half-width of the 99 % confidence interval of the mean of `xs`.
 double confidence_half_width_99(std::span<const double> xs);
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins. Used for duty-cycle and temperature distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  /// Count in bin i.
-  std::size_t bin_count(std::size_t i) const { return counts_[i]; }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  /// Lower edge of bin i.
-  double bin_lo(std::size_t i) const;
-  /// Fraction of samples with value >= x (by whole bins).
-  double fraction_at_or_above(double x) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace hydra::util

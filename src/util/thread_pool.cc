@@ -9,10 +9,8 @@ namespace hydra::util {
 namespace {
 std::atomic<void (*)(std::size_t)> g_worker_start_hook{nullptr};
 std::atomic<void (*)(const char*)> g_job_failure_hook{nullptr};
-std::atomic<std::uint64_t> g_contained_exceptions{0};
 
 void report_contained(const char* what) {
-  g_contained_exceptions.fetch_add(1, std::memory_order_relaxed);
   if (auto* hook = g_job_failure_hook.load(std::memory_order_acquire)) {
     hook(what);
   }
@@ -25,10 +23,6 @@ void ThreadPool::set_worker_start_hook(void (*hook)(std::size_t)) {
 
 void ThreadPool::set_job_failure_hook(void (*hook)(const char*)) {
   g_job_failure_hook.store(hook, std::memory_order_release);
-}
-
-std::uint64_t ThreadPool::contained_exceptions() {
-  return g_contained_exceptions.load(std::memory_order_relaxed);
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {

@@ -90,15 +90,12 @@ class ThreadPool {
   static void set_worker_start_hook(void (*hook)(std::size_t));
 
   /// Process-wide hook invoked when an exception escapes a raw submitted
-  /// job (async() jobs never trip it — packaged_task captures theirs).
-  /// Installed by the observability layer to count the containment;
-  /// `what` is the exception message (or "unknown exception").
+  /// job (async() jobs never trip it — packaged_task captures theirs,
+  /// and RunCache routes its jobs' failures through their futures).
+  /// Installed by the observability layer, which counts the containment
+  /// as `pool.contained_exceptions`; `what` is the exception message
+  /// (or "unknown exception").
   static void set_job_failure_hook(void (*hook)(const char* what));
-
-  /// Number of exceptions contained by worker loops process-wide. A
-  /// nonzero value means a raw submit() job threw — supervised paths
-  /// (RunCache) route failures through futures and never show up here.
-  static std::uint64_t contained_exceptions();
 
  private:
   // Cache-line aligned so two workers hammering adjacent per-worker

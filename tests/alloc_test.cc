@@ -17,7 +17,6 @@
 #include "sim/multicore.h"
 #include "sim/system.h"
 #include "thermal/solver.h"
-#include "thermal/sparse.h"
 #include "workload/spec_profiles.h"
 
 // Global allocation counter so the hot-path tests can assert record
@@ -124,19 +123,6 @@ TEST(Trace, DisabledRecordPathIsAllocationFree) {
 namespace hydra {
 namespace {
 
-// The simulator's contracts hold on the production dispatch, so each
-// case pins the node-count crossover whatever HYDRA_SPARSE says.
-class AllocationFree : public ::testing::Test {
- protected:
-  void SetUp() override {
-    thermal::set_sparse_mode_for_test(thermal::SparseMode::kAuto);
-  }
-  void TearDown() override { thermal::set_sparse_mode_for_test(saved_); }
-
- private:
-  thermal::SparseMode saved_ = thermal::sparse_mode();
-};
-
 // Heap allocations over 2000 steps of `scheme` on the shared model the
 // simulator steps for `cfg`. The first step builds the operator for the
 // step's dt (LU factorisation, fused matrices or sparse factor); every
@@ -166,13 +152,13 @@ std::uint64_t warmed_step_allocs(const sim::SimConfig& cfg,
   return after - before;
 }
 
-TEST_F(AllocationFree, WarmedBackwardEulerStep) {
+TEST(AllocationFree, WarmedBackwardEulerStep) {
   EXPECT_EQ(warmed_step_allocs(sim::default_sim_config(),
                                thermal::Scheme::kBackwardEuler, 28, false),
             0u);
 }
 
-TEST_F(AllocationFree, WarmedFusedStep) {
+TEST(AllocationFree, WarmedFusedStep) {
   EXPECT_EQ(warmed_step_allocs(sim::default_sim_config(),
                                thermal::Scheme::kFusedBE, 28, false),
             0u);
@@ -180,7 +166,7 @@ TEST_F(AllocationFree, WarmedFusedStep) {
 
 // The 16-core die is past the dense/sparse crossover, so the fused
 // scheme routes through the sparse LDL^T substitution.
-TEST_F(AllocationFree, WarmedSparseStepOnSixteenCoreDie) {
+TEST(AllocationFree, WarmedSparseStepOnSixteenCoreDie) {
   sim::SimConfig cfg = sim::default_sim_config();
   cfg.multicore.cores = 16;
   EXPECT_EQ(warmed_step_allocs(cfg, thermal::Scheme::kFusedBE, 298, true),
@@ -190,7 +176,7 @@ TEST_F(AllocationFree, WarmedSparseStepOnSixteenCoreDie) {
 // After one warm run, run() again must reuse every scratch buffer,
 // accumulator and the thermal fixed point: no DTM policy, observability
 // off, at the run lengths the environment asks for up to 120k/40k.
-TEST_F(AllocationFree, SecondSystemRun) {
+TEST(AllocationFree, SecondSystemRun) {
   sim::SimConfig cfg = sim::default_sim_config();
   cfg.run_instructions =
       std::min<std::uint64_t>(cfg.run_instructions, 120'000);
@@ -209,7 +195,7 @@ TEST_F(AllocationFree, SecondSystemRun) {
 // Every submitted run hashes its whole point (profile, params, config
 // with a fault campaign) through the visitors; the walk must not
 // allocate.
-TEST_F(AllocationFree, RunPointKey) {
+TEST(AllocationFree, RunPointKey) {
   const workload::WorkloadProfile profile = workload::spec2000_profile("gzip");
   sim::SimConfig cfg;
   cfg.fault_campaign = fault::FaultCampaign(
@@ -229,7 +215,6 @@ TEST_F(AllocationFree, RunPointKey) {
 // cache ways grow past 4-byte tags (a 16-byte stamped way puts the L2
 // alone at 512 KiB), a gshare core builds tournament tables, or a
 // sparse-path model forms a dense G.
-class Footprint : public AllocationFree {};
 
 constexpr std::uint64_t kKiB = 1024;
 
@@ -237,7 +222,7 @@ constexpr std::uint64_t kKiB = 1024;
 // tile's core (the 4 MiB L2's tag store, 132 KiB), sensors, trace and
 // scratch, plus a 1/64 share of the solver. A dense 1162-node G
 // (10.3 MiB) in the solver alone would add 165 KiB a tile.
-TEST_F(Footprint, SixtyFourCoreDiePerTile) {
+TEST(Footprint, SixtyFourCoreDiePerTile) {
   sim::SimConfig cfg = sim::default_sim_config();
   cfg.multicore.cores = 64;
   cfg.multicore.threads = 1;
@@ -252,7 +237,7 @@ TEST_F(Footprint, SixtyFourCoreDiePerTile) {
 
 // Building the 64-core die's model afresh and taking one sparse
 // step forms no dense n x n matrix: the whole cost is below half of one.
-TEST_F(Footprint, SparseDieModelFormsNoDenseMatrix) {
+TEST(Footprint, SparseDieModelFormsNoDenseMatrix) {
   sim::SimConfig cfg = sim::default_sim_config();
   cfg.multicore.cores = 64;
   sim::ModelCache models;
@@ -278,7 +263,7 @@ TEST_F(Footprint, SparseDieModelFormsNoDenseMatrix) {
 // packed M and N. Building it also assembles C/dt + G and factorises it
 // (one n x n matrix each, freed after); a dense copy of M and N kept
 // beside the packed pair would add two more.
-TEST_F(Footprint, FusedOperatorKeepsOnlyPackedMatrices) {
+TEST(Footprint, FusedOperatorKeepsOnlyPackedMatrices) {
   const sim::SimConfig cfg = sim::default_sim_config();
   sim::ModelCache models;
   const auto shared = models.get(cfg);
@@ -298,7 +283,7 @@ TEST_F(Footprint, FusedOperatorKeepsOnlyPackedMatrices) {
 // A single-core System with its model cached, 183 KiB: the core (L2 tag
 // store 132 KiB, L1s 4.5 KiB each, no tournament tables under gshare),
 // trace, sensors, power model and the 28-node solver.
-TEST_F(Footprint, SingleCoreSystem) {
+TEST(Footprint, SingleCoreSystem) {
   const sim::SimConfig cfg = sim::default_sim_config();
   (void)sim::ModelCache::global().get(cfg);
 

@@ -214,9 +214,7 @@ TEST(BatchedSweep, SupervisedRunsStaySerial) {
   util::ThreadPool pool(2);
   ExperimentRunner plain_runner(cfg, &pool);
   ExperimentRunner supervised_runner(cfg, &pool);
-  RunCache::JobOptions opts;
-  opts.timeout = util::Seconds(300.0);
-  supervised_runner.set_job_options(opts);
+  supervised_runner.set_job_timeout(util::Seconds(300.0));
 
   const std::vector<ExperimentResult> plain = plain_runner.run_points(points);
   const std::vector<ExperimentResult> supervised =

@@ -3,13 +3,16 @@
 // in alloc_test, beside the operator-new counter they need.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/thread_pool.h"
 
 namespace hydra::obs {
 namespace {
@@ -104,6 +107,29 @@ TEST(Metrics, GaugeLastWriterWins) {
   const MetricsSnapshot snap = reg.scrape();
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].second, 8.0);
+}
+
+// A raw pool job that throws is contained by the worker loop and counted
+// through the failure hook obs installs; the worker goes on serving.
+TEST(Metrics, PoolCountsContainedExceptions) {
+  Registry& reg = Observability::instance().metrics();
+  const auto contained = [&reg] {
+    for (const auto& [name, count] : reg.scrape().counters) {
+      if (name == "pool.contained_exceptions") return count;
+    }
+    return std::uint64_t{0};
+  };
+  reg.set_enabled(true);
+  const std::uint64_t before = contained();
+  std::atomic<bool> next_ran{false};
+  {
+    util::ThreadPool pool(1);
+    pool.submit([] { throw std::runtime_error("raw job failure"); });
+    pool.submit([&next_ran] { next_ran = true; });
+  }  // the destructor drains both jobs, then joins
+  reg.set_enabled(false);
+  EXPECT_EQ(contained() - before, 1u);
+  EXPECT_TRUE(next_ran);
 }
 
 /// Minimal structural JSON validation: balanced braces/brackets outside

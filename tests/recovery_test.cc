@@ -1,5 +1,5 @@
 // Fault-tolerant engine + crash-safe persistent cache: job supervision
-// (containment, typed failures, deadline, retry), the fused-BE numerical
+// (containment, typed failures, deadline), the fused-BE numerical
 // guard, and chaos recovery of the on-disk store (corruption quarantine,
 // warm restart, bit-identical reproduction).
 #include <gtest/gtest.h>
@@ -28,7 +28,7 @@
 #include "sim/persistent_cache.h"
 #include "sim/run_cache.h"
 #include "sim/system.h"
-#include "util/cancel.h"
+#include "util/deadline.h"
 #include "util/config.h"
 #include "util/fields.h"
 #include "util/thread_pool.h"
@@ -91,14 +91,16 @@ RunResult tiny_result(const std::string& tag) {
 TEST(JobSupervision, ThrowingJobFailsFastAndResubmitRecomputes) {
   util::ThreadPool pool(2);
   RunCache cache;
-  auto failed = cache.submit(42, pool, []() -> RunResult {
-    throw std::runtime_error("injected job failure");
-  });
+  auto failed =
+      cache.submit(42, pool, [](const util::Deadline&) -> RunResult {
+        throw std::runtime_error("injected job failure");
+      });
   EXPECT_THROW(failed.get(), std::runtime_error);
 
   // The key must not be poisoned: resubmission recomputes and succeeds.
-  auto ok = cache.submit(
-      42, pool, []() -> RunResult { return tiny_result("recomputed"); });
+  auto ok = cache.submit(42, pool, [](const util::Deadline&) {
+    return tiny_result("recomputed");
+  });
   EXPECT_EQ(ok.get()->benchmark, "recomputed");
 
   const RunCache::Stats stats = cache.stats();
@@ -111,10 +113,11 @@ TEST(JobSupervision, ThrowingJobDoesNotBlockSiblings) {
   RunCache cache;
   std::vector<RunCache::Future> futures;
   for (std::uint64_t key = 0; key < 8; ++key) {
-    futures.push_back(cache.submit(key, pool, [key]() -> RunResult {
-      if (key == 3) throw std::runtime_error("one bad job");
-      return tiny_result("job-" + std::to_string(key));
-    }));
+    futures.push_back(cache.submit(
+        key, pool, [key](const util::Deadline&) -> RunResult {
+          if (key == 3) throw std::runtime_error("one bad job");
+          return tiny_result("job-" + std::to_string(key));
+        }));
   }
   for (std::uint64_t key = 0; key < 8; ++key) {
     if (key == 3) {
@@ -126,104 +129,26 @@ TEST(JobSupervision, ThrowingJobDoesNotBlockSiblings) {
   }
   // Workers must all still be alive after the contained unwind.
   auto after = cache.submit(
-      99, pool, []() -> RunResult { return tiny_result("after"); });
+      99, pool, [](const util::Deadline&) { return tiny_result("after"); });
   EXPECT_EQ(after.get()->benchmark, "after");
 }
 
 TEST(JobSupervision, DeadlineExpiryIsATypedTimeout) {
   util::ThreadPool pool(1);
   RunCache cache;
-  RunCache::JobOptions opts;
-  opts.timeout = util::Seconds(0.02);
   auto future = cache.submit(
       7, pool,
-      [](const util::CancelToken& token) -> RunResult {
+      [](const util::Deadline& deadline) -> RunResult {
         for (;;) {
-          token.throw_if_stopped("spin-forever");
+          deadline.throw_if_expired("spin-forever");
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       },
-      opts);
+      util::Seconds(0.02));
   EXPECT_THROW(future.get(), util::TimeoutError);
   const RunCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.timeouts, 1u);
   EXPECT_EQ(stats.failures, 1u);
-}
-
-TEST(JobSupervision, TransientFailuresRetryThenSucceed) {
-  util::ThreadPool pool(1);
-  RunCache cache;
-  RunCache::JobOptions opts;
-  opts.max_attempts = 3;
-  opts.backoff = util::Seconds(0.001);
-  auto attempts = std::make_shared<std::atomic<int>>(0);
-  auto future = cache.submit(
-      11, pool,
-      [attempts](const util::CancelToken&) -> RunResult {
-        if (attempts->fetch_add(1) < 2) {
-          throw util::TransientError("flaky dependency");
-        }
-        return tiny_result("third-time-lucky");
-      },
-      opts);
-  EXPECT_EQ(future.get()->benchmark, "third-time-lucky");
-  EXPECT_EQ(attempts->load(), 3);
-  const RunCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.computes, 3u);
-  EXPECT_EQ(stats.failures, 0u);
-}
-
-TEST(JobSupervision, TransientFailureExhaustsAttemptBudget) {
-  util::ThreadPool pool(1);
-  RunCache cache;
-  RunCache::JobOptions opts;
-  opts.max_attempts = 2;
-  opts.backoff = util::Seconds(0.001);
-  auto future = cache.submit(
-      12, pool,
-      [](const util::CancelToken&) -> RunResult {
-        throw util::TransientError("always flaky");
-      },
-      opts);
-  EXPECT_THROW(future.get(), util::TransientError);
-  const RunCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.failures, 1u);
-}
-
-// The retry sleep runs on a pool worker, so the backoff cap must bind
-// the caller-supplied initial value too, not just the doublings.
-TEST(JobSupervision, InitialBackoffIsClampedToTheCap) {
-  util::ThreadPool pool(1);
-  RunCache cache;
-  RunCache::JobOptions opts;
-  opts.max_attempts = 2;
-  opts.backoff = util::Seconds(30.0);  // absurd; must be clamped to 0.25s
-  const auto start = std::chrono::steady_clock::now();
-  auto future = cache.submit(
-      13, pool,
-      [attempts = std::make_shared<std::atomic<int>>(0)](
-          const util::CancelToken&) -> RunResult {
-        if (attempts->fetch_add(1) == 0) {
-          throw util::TransientError("flaky once");
-        }
-        return tiny_result("clamped");
-      },
-      opts);
-  EXPECT_EQ(future.get()->benchmark, "clamped");
-  const double waited = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-  EXPECT_LT(waited, 5.0);  // generous CI margin, far below the 30s ask
-}
-
-TEST(JobSupervision, CancelledTokenUnwindsSystemRun) {
-  SimConfig cfg = short_config();
-  System system(workload::spec2000_profile("gzip"), cfg, nullptr);
-  util::CancelToken token;
-  token.cancel();
-  EXPECT_THROW(system.run(&token), util::CancelledError);
 }
 
 TEST(JobSupervision, DeadlineUnwindsSystemRunMidFlight) {
@@ -231,9 +156,8 @@ TEST(JobSupervision, DeadlineUnwindsSystemRunMidFlight) {
   cfg.run_instructions = 50'000'000;  // far longer than the deadline
   cfg.warmup_instructions = 20'000;
   System system(workload::spec2000_profile("gzip"), cfg, nullptr);
-  util::CancelToken token;
-  token.set_deadline_after(util::Seconds(0.02));
-  EXPECT_THROW(system.run(&token), util::TimeoutError);
+  EXPECT_THROW(system.run(util::Deadline(util::Seconds(0.02))),
+               util::TimeoutError);
 }
 
 // ---------------------------------------------------------------------------

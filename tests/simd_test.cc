@@ -3,18 +3,24 @@
 // The contract under test (thermal/simd.h): every backend — scalar and
 // AVX2 — performs the identical sequence of correctly rounded
 // fused multiply-adds per output element ("virtual four lanes"), so
-// kernels and full System runs produce bit-identical results regardless
-// of which backend executes them.
+// kernels, full System runs and many-core die runs produce bit-identical
+// results regardless of which backend executes them. Each twin pins the
+// scalar reference in process, so no test needs a scalar-only host.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <random>
 #include <vector>
 
+#include "floorplan/multicore.h"
 #include "sim/experiment.h"
+#include "sim/multicore.h"
 #include "sim/system.h"
+#include "thermal/model_builder.h"
 #include "thermal/simd.h"
+#include "thermal/sparse.h"
 #include "util/fields.h"
 #include "workload/spec_profiles.h"
 
@@ -105,6 +111,32 @@ TEST(SimdKernel, MatvecBitIdenticalAcrossBackends) {
   }
 }
 
+// The sparse substitutions' kernel, scalar vs native, at every term
+// count from 0 to 33: each tail length after the 4-wide chunks, with
+// random int32 indices (repeats included) into one shared x.
+TEST(SimdKernel, GatherDotBitIdenticalAcrossBackends) {
+  const std::optional<simd::Backend> native = native_backend();
+  if (!native) {
+    GTEST_SKIP() << "no vector backend available on this CPU";
+  }
+  BackendGuard guard;
+  std::mt19937 rng(4321);
+  const std::vector<double> x = random_values(64, rng);
+  std::uniform_int_distribution<std::int32_t> pick(0, 63);
+  for (std::size_t nnz = 0; nnz <= 33; ++nnz) {
+    const std::vector<double> vals = random_values(nnz, rng);
+    std::vector<std::int32_t> idx(nnz);
+    for (std::int32_t& i : idx) i = pick(rng);
+
+    simd::set_backend_for_test(simd::Backend::kScalar);
+    const double scalar =
+        simd::gather_dot(vals.data(), idx.data(), nnz, x.data());
+    simd::set_backend_for_test(*native);
+    const double vec = simd::gather_dot(vals.data(), idx.data(), nnz, x.data());
+    EXPECT_EQ(scalar, vec) << "nnz " << nnz;
+  }
+}
+
 // Packed (padded-row) kernel vs the general kernel on the same data:
 // padding terms are exact fma no-ops, so results agree bitwise.
 TEST(SimdKernel, PackedMatvecMatchesUnpacked) {
@@ -162,6 +194,62 @@ TEST(SimdTwin, FullRunBitIdenticalScalarVsVector) {
   const sim::RunResult vec = vector_sys.run();
 
   EXPECT_EQ(util::diff_fields(scalar, vec), "");
+}
+
+// The same twin on a 4-core die with three busy tiles under Hyb, threads
+// migrating. Its 82 nodes are past the sparse crossover, so the
+// steady-state solve and every thermal step run the LDL^T substitutions
+// on gather_dot. (Without migration this run does not notice a swapped
+// reduction order in the AVX2 gather_dot; with it, it does.)
+TEST(SimdTwin, DieRunBitIdenticalScalarVsVector) {
+  const std::optional<simd::Backend> native = native_backend();
+  if (!native) {
+    GTEST_SKIP() << "no vector backend available on this CPU";
+  }
+  BackendGuard guard;
+  sim::SimConfig cfg;
+  cfg.time_scale = 150.0;
+  cfg.thermal_interval_cycles = 2'000;
+  cfg.warmup_instructions = 100'000;
+  cfg.run_instructions = 200'000;
+  cfg.thresholds.trigger = util::Celsius(70.0);
+  cfg.thresholds.emergency = util::Celsius(74.0);
+  cfg.multicore.cores = 4;
+  cfg.multicore.workload_threads = 3;
+  cfg.multicore.migration = true;
+  ASSERT_TRUE(thermal::use_sparse_step(
+      thermal::build_thermal_model(floorplan::multicore_floorplan(4),
+                                   cfg.package)
+          .network.size()));
+  const auto run_die = [&cfg](simd::Backend b) {
+    simd::set_backend_for_test(b);
+    sim::MulticoreSystem system(
+        workload::spec2000_profile("crafty"), cfg,
+        [cfg] {
+          return sim::make_policy(sim::PolicyKind::kHybrid, {}, cfg);
+        },
+        "Hyb");
+    return system.run();
+  };
+  const sim::MulticoreResult scalar = run_die(simd::Backend::kScalar);
+  const sim::MulticoreResult vec = run_die(*native);
+
+  EXPECT_EQ(util::diff_fields(scalar.aggregate, vec.aggregate), "");
+  ASSERT_EQ(scalar.per_core.size(), vec.per_core.size());
+  for (std::size_t t = 0; t < scalar.per_core.size(); ++t) {
+    const sim::CoreRunStats& a = scalar.per_core[t];
+    const sim::CoreRunStats& b = vec.per_core[t];
+    EXPECT_EQ(a.instructions, b.instructions) << "core " << t;
+    EXPECT_EQ(a.cycles, b.cycles) << "core " << t;
+    EXPECT_EQ(a.ipc, b.ipc) << "core " << t;
+    EXPECT_EQ(a.max_true_celsius, b.max_true_celsius) << "core " << t;
+    EXPECT_EQ(a.mean_gate_fraction, b.mean_gate_fraction) << "core " << t;
+    EXPECT_EQ(a.dvs_low_fraction, b.dvs_low_fraction) << "core " << t;
+    EXPECT_EQ(a.occupied_fraction, b.occupied_fraction) << "core " << t;
+    EXPECT_EQ(a.dvs_transitions, b.dvs_transitions) << "core " << t;
+    EXPECT_EQ(a.migrations_in, b.migrations_in) << "core " << t;
+    EXPECT_EQ(a.migrations_out, b.migrations_out) << "core " << t;
+  }
 }
 
 }  // namespace

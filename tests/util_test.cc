@@ -132,37 +132,6 @@ TEST(RunningStats, KnownValues) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeMatchesCombined) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.gaussian(3.0, 2.0);
-    ((i % 2 == 0) ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
 TEST(Stats, PairedTStatisticKnown) {
   // Differences all equal: sd = 0 -> conventionally returns 0? No:
   // constant non-zero differences are infinitely significant, but our
@@ -196,25 +165,6 @@ TEST(Stats, ConfidenceHalfWidthShrinksWithN) {
             confidence_half_width_99(large));
 }
 
-TEST(Histogram, BinningAndFractions) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(h.bin_count(i), 1u);
-  EXPECT_DOUBLE_EQ(h.fraction_at_or_above(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(h.fraction_at_or_above(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.fraction_at_or_above(100.0), 0.0);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(7.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(3), 1u);
-}
-
-// --------------------------------------------------------------- config
 TEST(Config, ParsesKeyValues) {
   const auto cfg = Config::from_string("a = 1\nb= hello # comment\n\n#x\n");
   EXPECT_EQ(cfg.get("a", 0), 1);

@@ -14,7 +14,8 @@
 //   format        text|json                      (default text)
 //   fault_campaign  path to a sensor-fault schedule (see src/fault);
 //                   times are relative to the measured window
-//   threads       worker threads stepping a many-core die's tiles; 0
+//   threads       worker threads stepping a many-core die's tiles
+//                 (multicore.threads, which has no dotted key); 0
 //                 uses the global pool width. Defaults to
 //                 $HYDRA_THREADS when set. Results are bit-identical at
 //                 any value.
@@ -23,7 +24,6 @@
 //                 size cap is $HYDRA_CACHE_MAX_BYTES (default 256 MiB).
 //   timeout_seconds  per-run wall-clock deadline (0 = none); an expired
 //                 run exits nonzero with a typed timeout diagnostic
-//   max_attempts  retry budget for runs that fail transiently (default 1)
 //
 // Every other key is the dotted path of a SimConfig or PolicyParams
 // field, as their visit_fields lists name it (util/fields.h):
@@ -73,7 +73,7 @@ namespace {
 const std::vector<std::string_view> kRunControlKeys = {
     "benchmark", "policy",       "format",    "fault_campaign",
     "threads",   "trace",        "trace_csv", "metrics",
-    "summary_json", "cache_dir", "timeout_seconds", "max_attempts",
+    "summary_json", "cache_dir", "timeout_seconds",
 };
 
 sim::PolicyKind parse_policy(const std::string& name) {
@@ -160,7 +160,6 @@ void emit_summary(std::ostream& os,
   w.key("hits").value(cache.hits);
   w.key("misses").value(cache.misses);
   w.key("failures").value(cache.failures);
-  w.key("retries").value(cache.retries);
   w.key("timeouts").value(cache.timeouts);
   w.key("computes").value(cache.computes);
   w.key("disk_hits").value(cache.disk_hits);
@@ -241,14 +240,8 @@ int main(int argc, char** argv) {
     const sim::PolicyKind kind = parse_policy(policy_name);
     sim::ExperimentRunner runner(cfg);
 
-    // Job supervision: deadline + transient-retry budget for every run.
-    sim::RunCache::JobOptions job_opts;
-    job_opts.timeout = cfg_args.get("timeout_seconds", util::Seconds(0.0));
-    job_opts.max_attempts = cfg_args.get("max_attempts", 1);
-    if (job_opts.max_attempts < 1) {
-      throw std::invalid_argument("max_attempts must be >= 1");
-    }
-    runner.set_job_options(job_opts);
+    runner.set_job_timeout(
+        cfg_args.get("timeout_seconds", util::Seconds(0.0)));
 
     // Crash-safe persistence is opt-in: an explicit cache_dir key, or
     // the HYDRA_CACHE_DIR environment as the ambient default.
