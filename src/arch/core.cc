@@ -10,27 +10,38 @@ namespace hydra::arch {
 
 using floorplan::BlockId;
 
-Core::Core(const CoreConfig& cfg, TraceSource& trace)
-    : cfg_(cfg),
-      trace_(&trace),
-      icache_(cfg.icache),
-      dcache_(cfg.dcache),
-      l2_(cfg.l2),
-      itb_(),
-      dtb_() {
+Core::Core(const CoreConfig& cfg) : cfg_(cfg) {
   if (cfg_.rob_entries <= 0 || cfg_.fetch_width <= 0 ||
       cfg_.rename_width <= 0 || cfg_.issue_width <= 0 ||
       cfg_.commit_width <= 0 || cfg_.frontend_entries <= 0) {
     throw std::invalid_argument("core widths/capacities must be positive");
   }
+  queue_cap_[0] = cfg_.int_queue_entries;
+  queue_cap_[1] = cfg_.fp_queue_entries;
+  queue_cap_[2] = cfg_.ls_queue_entries;
+  set_frequency(cfg_.nominal_frequency_hz);
+}
+
+Core::Core(const CoreConfig& cfg, TraceSource& trace) : Core(cfg) {
+  set_trace(trace);
+}
+
+void Core::set_trace(TraceSource& trace) {
+  if (trace_ == nullptr) build_pipeline();
+  trace_ = &trace;
+}
+
+void Core::build_pipeline() {
   if (cfg_.predictor == CoreConfig::Predictor::kTournament) {
     tournament_.emplace(cfg_.tournament);
   } else {
     gshare_.emplace(cfg_.bpred_index_bits, cfg_.bpred_history_bits);
   }
-  queue_cap_[0] = cfg_.int_queue_entries;
-  queue_cap_[1] = cfg_.fp_queue_entries;
-  queue_cap_[2] = cfg_.ls_queue_entries;
+  icache_.emplace(cfg_.icache);
+  dcache_.emplace(cfg_.dcache);
+  l2_.emplace(cfg_.l2);
+  itb_.emplace();
+  dtb_.emplace();
   rob_.resize(static_cast<std::size_t>(cfg_.rob_entries));
   slot_state_.assign(rob_.size(), kSlotIssued);
   scan_mask_.assign((rob_.size() + 63) / 64, 0);
@@ -38,7 +49,6 @@ Core::Core(const CoreConfig& cfg, TraceSource& trace)
   consumer_next_.assign(rob_.size(), -1);
   wheel_.assign(static_cast<std::size_t>(kWheelCycles) * scan_mask_.size(), 0);
   frontend_.resize(static_cast<std::size_t>(cfg_.frontend_entries));
-  set_frequency(cfg_.nominal_frequency_hz);
 }
 
 void Core::set_fetch_gate_fraction(double g) {
@@ -135,13 +145,13 @@ int Core::ifetch_latency(std::uint64_t pc) {
   count(BlockId::kICache);
   count(BlockId::kITB);
   int latency = 0;
-  if (!itb_.access(pc)) latency += cfg_.tlb_miss_penalty;
-  if (!icache_.access(pc)) {
+  if (!itb_->access(pc)) latency += cfg_.tlb_miss_penalty;
+  if (!icache_->access(pc)) {
     ++stats_.icache_misses;
     count(BlockId::kL2);
     count(BlockId::kL2Left, 1);
     count(BlockId::kL2Right, 1);
-    if (l2_.access(pc)) {
+    if (l2_->access(pc)) {
       latency += cfg_.l2_hit_latency;
     } else {
       ++stats_.l2_misses;
@@ -152,18 +162,18 @@ int Core::ifetch_latency(std::uint64_t pc) {
 }
 
 int Core::data_access(std::uint64_t addr) {
-  const Cache::Lookup l1 = dcache_.find(addr);
+  const Cache::Lookup l1 = dcache_->find(addr);
   if (!l1.hit() && !mshr_available()) return -1;
   count(BlockId::kDCache);
   count(BlockId::kDTB);
   int latency = cfg_.l1_hit_latency;
-  if (!dtb_.access(addr)) latency += cfg_.tlb_miss_penalty;
-  if (!dcache_.touch(l1)) {
+  if (!dtb_->access(addr)) latency += cfg_.tlb_miss_penalty;
+  if (!dcache_->touch(l1)) {
     ++stats_.dcache_misses;
     count(BlockId::kL2);
     count(BlockId::kL2Left, 1);
     count(BlockId::kL2Right, 1);
-    if (l2_.access(addr)) {
+    if (l2_->access(addr)) {
       latency += cfg_.l2_hit_latency;
     } else {
       ++stats_.l2_misses;
@@ -545,6 +555,7 @@ void Core::do_commit() {
 }
 
 void Core::cycle() {
+  assert(trace_ != nullptr);  // an unbound core only idles
   do_commit();
   do_issue();
   do_rename();

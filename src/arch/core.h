@@ -13,6 +13,10 @@
 // of cycles, evenly striped. Mild gating is hidden by the machine's ILP;
 // harsh gating starves the pipeline — exactly the behaviour the hybrid
 // DTM policy exploits.
+//
+// A core built without a trace is unbound: it idles and holds no
+// pipeline until a thread binds (set_trace), so an unoccupied tile of a
+// many-core die costs its counters, not its caches.
 #pragma once
 
 #include <array>
@@ -57,7 +61,12 @@ struct CoreStats {
 
 class Core {
  public:
-  /// `trace` must outlive the core.
+  /// An unbound core: its clock, cycle and activity counters, gate
+  /// duties and memory-latency conversion, and no pipeline. It may only
+  /// idle until set_trace() binds a thread.
+  explicit Core(const CoreConfig& cfg);
+
+  /// Core(cfg) bound to `trace`, which must outlive the core.
   Core(const CoreConfig& cfg, TraceSource& trace);
 
   /// Gate fetch on this fraction of cycles (0 = never, 1 = always).
@@ -88,10 +97,13 @@ class Core {
   /// bit-identity test).
   void idle_cycles(std::uint64_t n, bool clocked);
 
-  /// Rebind the instruction source — the thread-migration seam. The new
-  /// trace must outlive the core. Call flush_pipeline() first: in-flight
-  /// ops belong to the old thread.
-  void set_trace(TraceSource& trace) { trace_ = &trace; }
+  /// Bind the instruction source — the thread-migration seam. The new
+  /// trace must outlive the core. The first binding builds the pipeline
+  /// (caches, TLBs, predictor, ROB, issue structures and front end) cold,
+  /// the state a core that only idled holds; a rebinding keeps it. Call
+  /// flush_pipeline() before a rebinding: in-flight ops belong to the old
+  /// thread.
+  void set_trace(TraceSource& trace);
 
   /// Squash all in-flight state (front end, ROB, issue queues, MSHRs)
   /// without committing it, as a thread migration's context switch does.
@@ -147,6 +159,9 @@ class Core {
   /// modulo kWheelCycles.
   static constexpr std::int64_t kWheelCycles = 256;
 
+  /// Allocate the pipeline a bound core steps with (set_trace).
+  void build_pipeline();
+
   void do_fetch();
   void do_rename();
   void do_issue();
@@ -199,15 +214,16 @@ class Core {
   int ifetch_latency(std::uint64_t pc);
 
   CoreConfig cfg_;
-  TraceSource* trace_;
-  /// Only the predictor cfg_.predictor selects is built.
+  TraceSource* trace_ = nullptr;  ///< null until bound
+  // The pipeline: empty until the first set_trace() builds it. Only the
+  // predictor cfg_.predictor selects is built.
   std::optional<GsharePredictor> gshare_;
   std::optional<TournamentPredictor> tournament_;
-  Cache icache_;
-  Cache dcache_;
-  Cache l2_;
-  Tlb itb_;
-  Tlb dtb_;
+  std::optional<Cache> icache_;
+  std::optional<Cache> dcache_;
+  std::optional<Cache> l2_;
+  std::optional<Tlb> itb_;
+  std::optional<Tlb> dtb_;
 
   // Fetch/issue gating duty-cycle accumulators.
   double gate_fraction_ = 0.0;
@@ -218,7 +234,7 @@ class Core {
   // Outstanding D-side miss release times (empty vector = unlimited).
   mutable std::vector<std::int64_t> mshrs_;
 
-  int memory_latency_cycles_;
+  int memory_latency_cycles_ = 0;
 
   // Front end, as a fixed-capacity ring bounded by frontend_entries —
   // the per-cycle fetch path must stay allocation-free (a deque here

@@ -77,7 +77,10 @@ struct CoreConfig {
   /// waits; a match against an issued store forwards in 1 cycle).
   bool store_forwarding = false;
 
-  /// Nominal clock used to size memory latency before set_frequency().
+  /// Clock a standalone Core sizes its memory latency by until
+  /// set_frequency(). A simulated tile sets its core's clock from
+  /// SimConfig::f_nominal when it is built, so this field only sizes a
+  /// standalone Core; it stays because it is part of every cache key.
   double nominal_frequency_hz = 3.0e9;
 };
 

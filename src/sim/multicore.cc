@@ -61,16 +61,14 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
     threads_.push_back(std::make_unique<workload::SyntheticTrace>(p));
   }
 
+  // Tile t runs thread t. Tiles past the last thread start unoccupied,
+  // with no trace and no pipeline: they only advance via idle cycles
+  // until a migration binds a thread.
   tiles_.reserve(cores);
   for (std::size_t t = 0; t < cores; ++t) {
-    // Idle tiles get a trace bound too (Core requires one) but never
-    // fetch from it: unoccupied tiles only ever advance via idle cycles.
-    workload::SyntheticTrace& trace =
-        t < n_threads ? *threads_[t] : *threads_[0];
-    auto tile = std::make_unique<Tile>(env_, t, trace,
-                                       factory ? factory() : nullptr);
-    tile->thread = t < n_threads ? t : Tile::kNoThread;
-    tiles_.push_back(std::move(tile));
+    tiles_.push_back(std::make_unique<Tile>(
+        env_, t, t < n_threads ? threads_[t].get() : nullptr,
+        factory ? factory() : nullptr));
   }
   if (policy_name_.empty()) {
     policy_name_ = tiles_[0]->policy
@@ -172,7 +170,8 @@ void MulticoreSystem::apply_migration(const core::MigrationDecision& d) {
   // The source squashes its in-flight work; the destination rebinds the
   // thread's instruction stream. Both pay the context-switch stall; the
   // source additionally pays the state-flush energy. The destination's
-  // cold caches/predictor are the natural remainder of the cost.
+  // cold caches/predictor are the natural remainder of the cost; a tile
+  // no thread has run on builds its pipeline here, cold.
   src.core.flush_pipeline();
   dst.core.set_trace(*threads_[src.thread]);
   dst.thread = src.thread;

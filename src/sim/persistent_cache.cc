@@ -37,7 +37,10 @@ constexpr char kMagic[4] = {'H', 'Y', 'R', 'C'};
 // dropped as stale on recovery and recomputed.
 // v3: the bulk idle-skip knob left SimConfig and its hash, so every
 // cache key moved; v2 entries are dropped as stale.
-constexpr std::uint32_t kFormatVersion = 3;
+// v4: a tile sizes its core's memory latency by f_nominal rather than
+// core.nominal_frequency_hz, so a result stored under a config where the
+// two differ is wrong; v3 entries are dropped as stale.
+constexpr std::uint32_t kFormatVersion = 4;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
 
 std::uint64_t fnv1a64(std::string_view bytes) {

@@ -24,7 +24,7 @@ System::System(const workload::WorkloadProfile& profile, const SimConfig& cfg,
       model_(shared_->model),
       env_(cfg_, fp_),
       trace_(profile),
-      tile_(std::make_unique<Tile>(env_, 0, trace_, std::move(policy))),
+      tile_(std::make_unique<Tile>(env_, 0, &trace_, std::move(policy))),
       solver_(model_.network, cfg.package.ambient,
               cfg.fused_thermal ? thermal::Scheme::kFusedBE
                                 : thermal::Scheme::kBackwardEuler,

@@ -39,11 +39,11 @@ TileEnv::TileEnv(const SimConfig& c, const floorplan::Floorplan& unit)
       switch_time_s(c.dvs_switch_time.value() / c.time_scale),
       gate_quantum_s(c.clock_gate_quantum.value() / c.time_scale) {}
 
-Tile::Tile(const TileEnv& e, std::size_t i, arch::TraceSource& trace,
+Tile::Tile(const TileEnv& e, std::size_t i, arch::TraceSource* trace,
            std::unique_ptr<core::DtmPolicy> pol)
     : env(e),
       index(i),
-      core(e.cfg.core, trace),
+      core(e.cfg.core),
       sensors(floorplan::kNumBlocks,
               [&e, i] {
                 sensor::SensorConfig s = e.cfg.sensor;
@@ -52,7 +52,15 @@ Tile::Tile(const TileEnv& e, std::size_t i, arch::TraceSource& trace,
               }()),
       policy(std::move(pol)),
       guard(dynamic_cast<core::GuardedPolicy*>(policy.get())),
+      thread(trace ? i : kNoThread),
       freq_hz(e.ladder.point(0).frequency.value()) {
+  if (trace) core.set_trace(*trace);
+  // The memory latency in cycles follows the tile's clock, not the core
+  // config's standalone default. It is sized by f_nominal, not freq_hz:
+  // the ladder's top point sits an ulp above f_nominal at the defaults
+  // (3000000000.0000005 Hz), which would round an 80 ns miss up to 241
+  // cycles where every recorded result has 240.
+  core.set_frequency(e.cfg.f_nominal.value());
   if (!e.cfg.fault_campaign.empty()) {
     injector = std::make_unique<fault::FaultInjector>(
         sensors, e.cfg.fault_campaign, e.cfg.time_scale);

@@ -95,10 +95,14 @@ struct Chunk {
 struct Tile {
   static constexpr std::size_t kNoThread = static_cast<std::size_t>(-1);
 
-  /// Tile `index` of its engine, running `trace` as its thread. Sensor
-  /// noise is seeded cfg.sensor.seed + index; a non-empty fault
-  /// campaign gets an injector. `policy` may be null (no DTM).
-  Tile(const TileEnv& env, std::size_t index, arch::TraceSource& trace,
+  /// Tile `index` of its engine, running `trace` as thread `index`, or
+  /// unoccupied when `trace` is null: its core then holds no pipeline
+  /// until a migration binds a thread (arch::Core::set_trace). The core
+  /// is clocked at ladder point 0 with its memory latency sized by
+  /// cfg.f_nominal. Sensor noise is seeded cfg.sensor.seed + index; a
+  /// non-empty fault campaign gets an injector. `policy` may be null (no
+  /// DTM).
+  Tile(const TileEnv& env, std::size_t index, arch::TraceSource* trace,
        std::unique_ptr<core::DtmPolicy> policy);
 
   /// Measure `instructions` of the bound thread's activity, after
@@ -148,7 +152,7 @@ struct Tile {
   std::unique_ptr<fault::FaultInjector> injector;
   /// Non-owning view of policy when it is a GuardedPolicy (for stats).
   core::GuardedPolicy* guard = nullptr;
-  std::size_t thread = 0;  ///< bound software thread (kNoThread = idle)
+  std::size_t thread;  ///< bound software thread (kNoThread = idle)
   bool per_cycle_idle = false;  ///< reference idle loop (test seam)
   std::uint32_t lane = obs::SimLaneScope::kNoLane;  ///< sim trace lane
 

@@ -235,6 +235,29 @@ TEST(Footprint, SixtyFourCoreDiePerTile) {
   EXPECT_LT(per_tile, 256 * kKiB) << per_tile / kKiB << " KiB per tile";
 }
 
+// An unoccupied tile holds no pipeline: the same 64-core die with 48
+// threads allocates at least 150 KiB a tile less than with 64. A core's
+// pipeline is about 160 KiB, 132 KiB of it the L2 tag store; the 16
+// fewer traces add a little to the gap.
+TEST(Footprint, UnoccupiedTilesHoldNoPipeline) {
+  sim::SimConfig cfg = sim::default_sim_config();
+  cfg.multicore.cores = 64;
+  cfg.multicore.threads = 1;
+  (void)sim::ModelCache::global().get(cfg);
+
+  std::uint64_t bytes[2] = {0, 0};
+  for (int k = 0; k < 2; ++k) {
+    cfg.multicore.workload_threads = k == 0 ? 64 : 48;
+    const std::uint64_t before = allocated_bytes();
+    const sim::MulticoreSystem system(workload::spec2000_profile("crafty"),
+                                      cfg, nullptr);
+    bytes[k] = allocated_bytes() - before;
+  }
+  ASSERT_GT(bytes[0], bytes[1]);
+  EXPECT_GE(bytes[0] - bytes[1], 16 * 150 * kKiB)
+      << (bytes[0] - bytes[1]) / 16 / kKiB << " KiB per unoccupied tile";
+}
+
 // Building the 64-core die's model afresh and taking one sparse
 // step forms no dense n x n matrix: the whole cost is below half of one.
 TEST(Footprint, SparseDieModelFormsNoDenseMatrix) {

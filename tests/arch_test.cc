@@ -2,6 +2,8 @@
 // out-of-order core's timing behaviour (IPC, dependencies, fetch gating).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -9,6 +11,8 @@
 #include "arch/cache.h"
 #include "arch/core.h"
 #include "arch/tlb.h"
+#include "workload/spec_profiles.h"
+#include "workload/synthetic_trace.h"
 
 namespace hydra::arch {
 namespace {
@@ -402,6 +406,74 @@ TEST(Core, RejectsBadConfig) {
   CoreConfig cfg2;
   cfg2.fetch_width = 0;
   EXPECT_THROW(Core(cfg2, trace), std::invalid_argument);
+}
+
+/// The bits of a frame: its events, then its two cycle counts.
+std::vector<std::uint64_t> frame_bits(const ActivityFrame& f) {
+  std::vector<std::uint64_t> bits;
+  for (const double e : f.events) {
+    bits.push_back(std::bit_cast<std::uint64_t>(e));
+  }
+  bits.push_back(std::bit_cast<std::uint64_t>(f.cycles));
+  bits.push_back(std::bit_cast<std::uint64_t>(f.clocked_cycles));
+  return bits;
+}
+
+// A core built unbound idles, changes its clock and gate duties, then
+// binds: the pipeline it builds then is the one the bound constructor
+// built, in the state idling left it, so every later bit matches. Run
+// with gshare and with the tournament predictor plus MSHRs and store
+// forwarding, at 9 GHz so a memory miss outlasts the issue wheel.
+TEST(Core, LateBindingMatchesBoundConstruction) {
+  for (const bool fidelity : {false, true}) {
+    CoreConfig cfg;
+    if (fidelity) {
+      cfg.predictor = CoreConfig::Predictor::kTournament;
+      cfg.mshr_entries = 4;
+      cfg.store_forwarding = true;
+    }
+    const workload::WorkloadProfile profile =
+        workload::spec2000_profile("gcc");
+    workload::SyntheticTrace bound_trace(profile);
+    workload::SyntheticTrace late_trace(profile);
+    Core bound(cfg, bound_trace);
+    Core late(cfg);
+    std::vector<ActivityFrame> frames[2];
+    Core* const cores[2] = {&bound, &late};
+    for (int k = 0; k < 2; ++k) {
+      Core& core = *cores[k];
+      core.idle_cycles(5000, true);
+      core.set_frequency(9.0e9);
+      core.set_fetch_gate_fraction(0.3);
+      core.set_issue_gate_fraction(0.2);
+      core.idle_cycle(false);
+      core.idle_cycles(300, false);
+      frames[k].push_back(core.take_interval_activity());
+    }
+    late.set_trace(late_trace);
+    for (int k = 0; k < 2; ++k) {
+      Core& core = *cores[k];
+      for (int segment = 0; segment < 12; ++segment) {
+        for (int c = 0; c < 5000; ++c) core.cycle();
+        frames[k].push_back(core.take_interval_activity());
+        if (segment == 5) core.set_fetch_gate_fraction(0.0);
+      }
+    }
+
+    const auto stats = [](const Core& core) {
+      const CoreStats& s = core.stats();
+      return std::array{s.committed,     s.cycles,        s.fetch_gated_cycles,
+                        s.fetched,       s.branches,      s.mispredicts,
+                        s.icache_misses, s.dcache_misses, s.l2_misses};
+    };
+    EXPECT_GT(bound.stats().l2_misses, 0u);
+    EXPECT_EQ(stats(bound), stats(late));
+    ASSERT_EQ(frames[0].size(), frames[1].size());
+    for (std::size_t i = 0; i < frames[0].size(); ++i) {
+      EXPECT_EQ(frame_bits(frames[0][i]), frame_bits(frames[1][i]))
+          << "frame " << i << (fidelity ? " (fidelity)" : "");
+    }
+  }
 }
 
 TEST(Core, FrequencyValidation) {

@@ -107,9 +107,10 @@ TEST(FieldPayload, MatchesTheCodecItReplaced) {
   EXPECT_EQ(util::diff_fields(back, r), "");
 }
 
-// A store entry's header still names format version 3, so entries
-// written before the visitors keep serving hits.
-TEST(FieldPayload, StoreEntriesKeepFormatVersion3) {
+// A store entry's header names format version 4: the payload layout is
+// v3's, but v3 entries may hold a result computed with the core's memory
+// latency sized by core.nominal_frequency_hz instead of f_nominal.
+TEST(FieldPayload, StoreEntriesNameFormatVersion4) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "fields_version";
   std::error_code ec;
@@ -121,7 +122,7 @@ TEST(FieldPayload, StoreEntriesKeepFormatVersion3) {
   const std::string entry((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
   ASSERT_GE(entry.size(), 8u);
-  EXPECT_EQ(entry.substr(0, 8), std::string("HYRC\x03\0\0\0", 8));
+  EXPECT_EQ(entry.substr(0, 8), std::string("HYRC\x04\0\0\0", 8));
 }
 
 // Moves one leaf off its value: every type a visitor can reach.

@@ -411,6 +411,33 @@ TEST(Multicore, RunResultRoundTripsThroughPersistentFormat) {
   EXPECT_EQ(decoded.cores, 2u);
 }
 
+// A tile tells its core the clock it runs at, so at f_nominal = 2 GHz an
+// 80 ns miss costs 160 cycles from the first cycle in both engines, and
+// the core config's standalone clock moves no bit of either.
+TEST(TileClock, NominalFrequencyOfTheCoreConfigMovesNoBit) {
+  for (const std::size_t cores : {std::size_t{1}, std::size_t{4}}) {
+    SimConfig cfg = mc_config(cores);
+    cfg.f_nominal = util::Hertz(2.0e9);
+    cfg.warmup_instructions = 100'000;
+    cfg.run_instructions = 200'000;
+    cfg.multicore.workload_threads = cores == 1 ? 0 : 3;
+    std::string bytes[2];
+    for (int k = 0; k < 2; ++k) {
+      cfg.core.nominal_frequency_hz = k == 0 ? 3.0e9 : 2.0e9;
+      const RunResult r =
+          cores == 1
+              ? System(hot_profile(), cfg,
+                       make_policy(PolicyKind::kHybrid, PolicyParams{}, cfg))
+                    .run()
+              : MulticoreSystem(hot_profile(), cfg, hyb_factory(cfg))
+                    .run()
+                    .aggregate;
+      bytes[k] = serialize_run_result(r);
+    }
+    EXPECT_EQ(bytes[0], bytes[1]) << cores << " core(s)";
+  }
+}
+
 TEST(Multicore, ExperimentRunnerRoutesMulticorePoints) {
   // End-to-end through the memoizing engine: an 8-core Hyb point with
   // migration and a die budget against its same-die baseline.
